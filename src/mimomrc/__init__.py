@@ -17,6 +17,7 @@ from .eigdist import (
     asymptotic_cdf,
     asymptotic_pdf,
     build_model,
+    cdf,
     exact_cdf,
     exact_cdf_stable,
     psi_matrix,
@@ -61,6 +62,7 @@ __all__ = [
     "asymptotic_outage",
     "asymptotic_pdf",
     "build_model",
+    "cdf",
     "correlation_penalty",
     "draw_channel",
     "empirical_cdf",

@@ -11,9 +11,7 @@ from __future__ import annotations
 import argparse
 import csv
 import math
-import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -134,23 +132,16 @@ def _emit(args, header, rows) -> None:
             out.close()
 
 
-def _map_ordered(func, values):
-    values = list(values)
-    if len(values) > 8:
-        with ThreadPoolExecutor(max_workers=min(8, os.cpu_count() or 1)) as pool:
-            return list(pool.map(func, values))
-    return [func(v) for v in values]
-
-
 def _cmd_cdf(parser, args) -> int:
     model = _build_model(parser, args)
-
-    def point(x):
-        return (x, eigdist.exact_cdf_stable(model, x), eigdist.asymptotic_cdf(model, x))
-
     if args.sweep.start < 0.0:
         parser.error("cdf sweep must start at or above 0")
-    _emit(args, ["x", "exact", "asymptotic"], _map_ordered(point, args.sweep.values()))
+    xs = args.sweep.values()
+    rows = [
+        (x, exact, eigdist.asymptotic_cdf(model, x))
+        for x, exact in zip(xs, eigdist.cdf(model, xs))
+    ]
+    _emit(args, ["x", "exact", "asymptotic"], rows)
     return 0
 
 
@@ -158,16 +149,14 @@ def _cmd_ser(parser, args) -> int:
     model = _build_model(parser, args)
     mod = _modulation(parser, args)
     hs = performance.high_snr_ser(model, mod)
-    snrs = args.sweep.values()
-
-    def point(snr_db):
-        return (
+    rows = [
+        (
             snr_db,
             performance.exact_ser(model, mod, snr_db),
             performance.ser_asymptote_eval(hs, snr_db),
         )
-
-    rows = _map_ordered(point, snrs)
+        for snr_db in args.sweep.values()
+    ]
     header = ["snr_db", "exact", "asymptote"]
     if args.with_mc:
         # One set of channel draws serves every sweep point (common random
@@ -193,24 +182,20 @@ def _mc_ser_from_samples(lam, mod, snr_db):
 def _cmd_outage(parser, args) -> int:
     model = _build_model(parser, args)
     gammas_db = args.sweep.values()
-
-    def point(gamma_th_db):
-        gamma_th = 10.0 ** (gamma_th_db / 10.0)
-        return (
-            gamma_th_db,
-            performance.exact_outage(model, args.snr_db, gamma_th),
-            performance.asymptotic_outage(model, args.snr_db, gamma_th),
+    gammas = 10.0 ** (gammas_db / 10.0)
+    rows = [
+        (gamma_th_db, exact, performance.asymptotic_outage(model, args.snr_db, gamma_th))
+        for gamma_th_db, gamma_th, exact in zip(
+            gammas_db, gammas, performance.exact_outage(model, args.snr_db, gammas)
         )
-
-    rows = _map_ordered(point, gammas_db)
+    ]
     header = ["gamma_th_db", "exact", "asymptotic"]
     if args.with_mc:
         lam = np.sort(montecarlo.simulate_lambda_max(_mc_config(args)))
         gbar = performance.snr_from_db(args.snr_db)
         header += ["mc", "mc_stderr"]
         full = []
-        for row in rows:
-            gamma_th = 10.0 ** (row[0] / 10.0)
+        for row, gamma_th in zip(rows, gammas):
             p = float(np.searchsorted(lam, gamma_th / gbar, side="right")) / len(lam)
             se = math.sqrt(p * (1.0 - p) / len(lam))
             full.append(row + (p, se))

@@ -13,12 +13,15 @@ Two numerical hazards are handled at model-construction time:
   leading-order polynomial instead; the two agree within a few percent at
   the crossover by construction.
 
-Models are immutable once built and every evaluation here is a pure
-function of (model, x), so concurrent evaluation is safe.
+Every evaluation goes through one array evaluator, :func:`cdf`; the
+scalar functions are thin callers of it. Models are immutable once built
+and every evaluation here is a pure function of (model, x), so concurrent
+evaluation is safe.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -27,7 +30,7 @@ import numpy as np
 from . import linalg
 from .correlation import CorrelationPair, det_major, det_minor
 from .errors import NumericalError, ValidationError
-from .specfun import log_multivariate_gamma_norm
+from .specfun import log_multivariate_gamma_norm, multivariate_gamma_norm
 
 # Eigenvalues closer than this (relative) are treated as tied.
 DEGENERACY_TOL = 1e-6
@@ -45,6 +48,7 @@ _ONE_SNAP = 1e-6
 # 4e-4 at mn=16, and theta sits several times above each.
 _SAT_STEP = 1.05
 _SAT_MAX_STEPS = 800
+_SAT_CHUNK = 32  # scan points per evaluator call; divides _SAT_MAX_STEPS
 
 
 def _saturation_theta(mn: int) -> float:
@@ -264,32 +268,94 @@ def build_model(pair: CorrelationPair, degeneracy_tol: float = DEGENERACY_TOL) -
     return model
 
 
-def _exp_tail(t: float, m: int) -> float:
-    """exp(-t) minus its order-(m-1) Taylor partial sum, evaluated stably.
+def _ipow(x, k: int):
+    """x**k for an integer k >= 0 by repeated squaring.
+
+    Only multiplications, so a value rounds the same whether it comes alone
+    or inside an array of any length (libm and SIMD ``pow`` need not agree).
+    """
+    out = 1.0
+    while k:
+        if k & 1:
+            out = out * x
+        k >>= 1
+        if k:
+            x = x * x
+    return out
+
+
+@functools.lru_cache(maxsize=None)
+def _series_divisors(m: int) -> np.ndarray:
+    """m+1, m+2, ...: the divisors k of the term ratios -t/k that the tail
+    series keeps on t < m + 1.
+
+    The series is cut once a term falls below 1e-19 of the leading term at
+    the switch point t = m + 1, its largest argument; the sum there is at
+    least a third of the leading term, so the cut sits below 1e-18 of it.
+    """
+    term, k = 1.0, m
+    while term > 1e-19 and k < m + 200:
+        k += 1
+        term *= (m + 1.0) / k
+    divisors = np.arange(m + 1.0, k + 1.0)
+    divisors.setflags(write=False)  # shared by every caller through the cache
+    return divisors
+
+
+# Series points per block: bounds the (points, terms) work array to a few MB.
+_SERIES_BLOCK = 8192
+
+
+def _exp_tail(t: np.ndarray, m: int) -> np.ndarray:
+    """exp(-t) minus its order-(m-1) Taylor partial sum, elementwise and stably.
 
     Algebraically equal to sum_{k>=m} (-t)^k / k!. The subtracted form has
     absolute error ~eps from the O(1) leading terms, which ruins the
     eigenvalue-difference determinants at small t; the tail series keeps
     the error relative. For t beyond the series' comfortable range the
-    subtracted form is accurate (no comparable cancellation there).
+    subtracted form is accurate (no comparable cancellation there). The
+    series' length is fixed by ``m``, so every element is a function of
+    its own t alone.
     """
-    if t < m + 1.0:
-        term = (-t) ** m / math.factorial(m)
-        total = term
-        k = m + 1
-        while k < m + 200:
-            term *= -t / k
-            total += term
-            if abs(term) <= 1e-18 * abs(total):
-                break
-            k += 1
-        return total
-    term = 1.0
-    partial = 1.0
-    for k in range(1, m):
-        term *= -t / k
-        partial += term
-    return math.exp(-t) - partial
+    neg = -np.asarray(t, dtype=float)
+    series = neg > -(m + 1.0)
+    if series.all():
+        return _tail_series(neg, m)
+    partial = np.ones_like(neg)
+    for k in range(m - 1, 0, -1):
+        partial *= neg
+        partial /= k
+        partial += 1.0
+    out = np.exp(neg) - partial
+    if series.any():
+        out[series] = _tail_series(neg[series], m)
+    return out
+
+
+def _tail_series(neg: np.ndarray, m: int) -> np.ndarray:
+    """sum_{k>=m} (-t)^k / k! from its power series, given -t."""
+    divisors = _series_divisors(m)
+    sums = np.empty_like(neg)
+    flat_neg, flat_sums = neg.reshape(-1), sums.reshape(-1)
+    for i in range(0, flat_neg.size, _SERIES_BLOCK):
+        block = flat_neg[i : i + _SERIES_BLOCK, None]
+        # terms relative to the leading one: running products of -t/k
+        flat_sums[i : i + _SERIES_BLOCK] = np.cumprod(block / divisors, axis=1).sum(axis=1)
+    return _ipow(neg, m) / math.factorial(m) * (1.0 + sums)
+
+
+def _psi_stack(minor, major, xs: np.ndarray) -> np.ndarray:
+    """The (len(xs), m, m) stack of evaluation matrices, one per point."""
+    minor = np.asarray(minor, dtype=float)
+    major = np.asarray(major, dtype=float)
+    n, m = len(minor), len(major)
+    gap = m - n
+    inv = 1.0 / major
+    psi = np.empty((len(xs), m, m))
+    for i in range(gap):
+        psi[:, i, :] = _ipow(inv, m - 1 - i)
+    psi[:, gap:, :] = _exp_tail(xs[:, None, None] * inv / minor[:, None], m)
+    return psi
 
 
 def psi_matrix(minor, major, x: float) -> np.ndarray:
@@ -306,35 +372,31 @@ def psi_matrix(minor, major, x: float) -> np.ndarray:
         raise ValidationError("need 1 <= len(minor) <= len(major)")
     if not math.isfinite(x) or x < 0.0:
         raise ValidationError(f"evaluation point must be finite and >= 0, got {x!r}")
-    n = len(minor)
-    m = len(major)
-    gap = m - n
-    psi = np.empty((m, m))
-    for j, sj in enumerate(major):
-        inv = 1.0 / sj
-        for i in range(gap):
-            psi[i, j] = inv ** (m - 1 - i)
-        for i in range(gap, m):
-            psi[i, j] = _exp_tail(x * inv / minor[i - gap], m)
-    return psi
+    return _psi_stack(minor, major, np.array([x]))[0]
 
 
-def _psi_det(minor: tuple[float, ...], major: tuple[float, ...], x: float) -> float:
-    return linalg.det(psi_matrix(minor, major, x)).real
-
-
-def _cdf_raw(model: EigDistModel, x: float) -> float:
-    """Unclamped determinant-form c.d.f. (Richardson-combined under ties)."""
+def _cdf_raw(model: EigDistModel, xs: np.ndarray) -> np.ndarray:
+    """Unclamped determinant-form c.d.f. at every x > 0 of a 1-D array
+    (Richardson-combined under ties): one stacked determinant per set."""
     n, m = model.n_min, model.n_max
     half_exp = n * (n - 1) // 2
     sign = -1.0 if (n + half_exp) % 2 else 1.0
-    gamma_nn = math.exp(log_multivariate_gamma_norm(n, n))
+    gamma_nn = float(multivariate_gamma_norm(n, n))
     common = sign * gamma_nn * model.det_minor ** (n - 1) * model.det_major ** (m - 1)
+    x_pow = _ipow(xs, half_exp)
     value = 0.0
     for s in model.eval_sets:
-        det_psi = _psi_det(s.minor, s.major, x)
-        value += s.weight * common * det_psi / (s.vand_minor * s.vand_major * x**half_exp)
+        det_psi = np.linalg.det(_psi_stack(s.minor, s.major, xs))
+        value = value + s.weight * common * det_psi / (s.vand_minor * s.vand_major * x_pow)
     return value
+
+
+def _geometric(start: float, ratio: float, count: int) -> np.ndarray:
+    """start, start*ratio, ... by repeated multiplication, as a scan steps."""
+    out = [start]
+    for _ in range(count - 1):
+        out.append(out[-1] * ratio)
+    return np.array(out)
 
 
 def _find_crossover(model: EigDistModel) -> float:
@@ -351,17 +413,17 @@ def _find_crossover(model: EigDistModel) -> float:
       deliberately reported as the leading-order behavior, or
     * the determinant form has hit floating-point cancellation, which for
       the well-converged small systems happens ten or more decades down.
+
+    The whole scan grid is evaluated in one call.
     """
     mn = model.n_min * model.n_max
     x_top = (_SCAN_TOP_CDF / model.alpha) ** (1.0 / mn)
     steps = int(math.ceil(_SCAN_DECADES / -math.log10(_SCAN_STEP)))
-    x = x_top
-    for _ in range(steps + 1):
-        lead = model.alpha * x**mn
-        rel = abs(_cdf_raw(model, x) / lead - 1.0)
-        if rel > _CROSSOVER_REL:
-            return x
-        x *= _SCAN_STEP
+    grid = _geometric(x_top, _SCAN_STEP, steps + 1)
+    lead = model.alpha * _ipow(grid, mn)
+    hits = np.flatnonzero(np.abs(_cdf_raw(model, grid) / lead - 1.0) > _CROSSOVER_REL)
+    if hits.size:
+        return float(grid[hits[0]])
     return x_top * 10.0 ** (-_SCAN_DECADES)
 
 
@@ -382,24 +444,83 @@ def _find_saturation(model: EigDistModel) -> float:
     double-precision accuracy left for this correlation/geometry (very
     large dimension spreads under strong correlation do this), and the
     model refuses to build rather than return garbage.
+
+    Points are evaluated _SAT_CHUNK at a time and judged in scan order.
     """
     theta = _saturation_theta(model.n_min * model.n_max)
     slack = _range_slack(model)
     x = max(model.crossover, (_SCAN_TOP_CDF / model.alpha) ** (1.0 / (model.n_min * model.n_max)))
     high_water = -math.inf
-    for _ in range(_SAT_MAX_STEPS):
-        raw = _cdf_raw(model, x)
-        if raw > 1.0 + slack or raw < -slack or raw < high_water - slack:
-            raise NumericalError(
-                "determinant form loses double-precision significance for this "
-                f"correlation/geometry (value {raw:.3g} at x={x:.3g}); use the "
-                "Monte-Carlo simulator for this configuration"
-            )
-        if raw >= 1.0 - theta:
-            return x
-        high_water = max(high_water, raw)
+    for _ in range(_SAT_MAX_STEPS // _SAT_CHUNK):
+        grid = _geometric(x, _SAT_STEP, _SAT_CHUNK)
+        for x, raw in zip(grid.tolist(), _cdf_raw(model, grid).tolist()):
+            if raw > 1.0 + slack or raw < -slack or raw < high_water - slack:
+                raise NumericalError(
+                    "determinant form loses double-precision significance for this "
+                    f"correlation/geometry (value {raw:.3g} at x={x:.3g}); use the "
+                    "Monte-Carlo simulator for this configuration"
+                )
+            if raw >= 1.0 - theta:
+                return x
+            high_water = max(high_water, raw)
         x *= _SAT_STEP
     return x
+
+
+def _points(x) -> np.ndarray:
+    """Evaluation points as a float array, refusing negative or non-finite ones."""
+    xs = np.asarray(x, dtype=float)
+    ok = (xs >= 0.0) & (xs < math.inf)
+    if not ok.all():
+        raise ValidationError(
+            f"evaluation point must be finite and >= 0, got {float(xs[~ok].flat[0])!r}"
+        )
+    return xs
+
+
+def _determinant_cdf(model: EigDistModel, xs: np.ndarray) -> np.ndarray:
+    """Determinant form at every x > 0 of a 1-D array, clamped to [0, 1]
+    and snapped to 1 near the top.
+
+    Between crossover and saturation, an excursion out of [0, 1] beyond the
+    usability envelope verified when the model was built (wider for
+    tied-eigenvalue guard noise) raises ``NumericalError``.
+    """
+    raw = _cdf_raw(model, xs)
+    excess = np.maximum(raw - 1.0, -raw)
+    bad = ~(excess <= _range_slack(model)) & (model.crossover <= xs) & (xs <= model.saturation)
+    if bad.any():
+        i = np.flatnonzero(bad)[0]
+        raise NumericalError(
+            f"determinant form out of range by {excess[i]:.3e} at x={float(xs[i])!r}"
+        )
+    clamped = np.clip(raw, 0.0, 1.0)
+    clamped[clamped >= 1.0 - _ONE_SNAP] = 1.0
+    return clamped
+
+
+def cdf(model: EigDistModel, x) -> np.ndarray:
+    """C.d.f. of the maximum eigenvalue at every point of an array.
+
+    The one evaluator of the distribution: each point takes the regime
+    that :func:`exact_cdf_stable` describes (leading-order term below the
+    model's crossover, floored determinant form up to its saturation
+    point, exactly 1 beyond), and all determinant-regime points share one
+    stacked determinant per evaluation set. Returns an array of the
+    shape of ``x``.
+    """
+    xs = _points(x)
+    flat = xs.ravel()
+    out = np.ones_like(flat)
+    mn = model.n_min * model.n_max
+    lead = flat < model.crossover
+    if lead.any():
+        out[lead] = np.minimum(1.0, model.alpha * _ipow(flat[lead], mn))
+    det = ~lead & (flat < model.saturation)
+    if det.any():
+        floor = min(1.0, model.alpha * _ipow(model.crossover, mn))
+        out[det] = np.maximum(_determinant_cdf(model, flat[det]), floor)
+    return out.reshape(xs.shape)
 
 
 def exact_cdf(model: EigDistModel, x: float) -> float:
@@ -409,35 +530,21 @@ def exact_cdf(model: EigDistModel, x: float) -> float:
     use :func:`exact_cdf_stable` unless the raw determinant value is
     specifically wanted.
     """
-    x = float(x)
-    if not math.isfinite(x) or x < 0.0:
-        raise ValidationError(f"evaluation point must be finite and >= 0, got {x!r}")
+    x = float(_points(x))
     if x == 0.0:
         return 0.0
-    raw = _cdf_raw(model, x)
-    clamped = min(1.0, max(0.0, raw))
-    if model.crossover <= x <= model.saturation:
-        # Out-of-range slack matches the usability envelope verified when
-        # the model was built (wider for tied-eigenvalue guard noise).
-        assert abs(raw - clamped) <= _range_slack(model), (
-            f"determinant form out of range by {abs(raw - clamped):.3e} at x={x!r}"
-        )
-    return 1.0 if clamped >= 1.0 - _ONE_SNAP else clamped
+    return float(_determinant_cdf(model, np.array([x]))[0])
 
 
 def asymptotic_cdf(model: EigDistModel, x: float) -> float:
     """Leading small-argument term alpha * x^(n_min*n_max), unclamped."""
-    x = float(x)
-    if not math.isfinite(x) or x < 0.0:
-        raise ValidationError(f"evaluation point must be finite and >= 0, got {x!r}")
-    return model.alpha * x ** (model.n_min * model.n_max)
+    x = float(_points(x))
+    return model.alpha * _ipow(x, model.n_min * model.n_max)
 
 
 def asymptotic_pdf(model: EigDistModel, x: float) -> float:
     """Leading small-argument density term n*m*alpha * x^(n*m - 1)."""
-    x = float(x)
-    if not math.isfinite(x) or x < 0.0:
-        raise ValidationError(f"evaluation point must be finite and >= 0, got {x!r}")
+    x = float(_points(x))
     mn = model.n_min * model.n_max
     return mn * model.alpha * x ** (mn - 1)
 
@@ -452,13 +559,8 @@ def exact_cdf_stable(model: EigDistModel, x: float) -> float:
     the switch; the floor is at most _SCAN_TOP_CDF, which bounds the
     absolute deviation from the true distribution everywhere. Beyond the
     model's saturation point the value is exactly 1.
+
+    The scalar face of :func:`cdf`, which gives the same value for the
+    same point inside an array.
     """
-    x = float(x)
-    if not math.isfinite(x) or x < 0.0:
-        raise ValidationError(f"evaluation point must be finite and >= 0, got {x!r}")
-    if x >= model.saturation:
-        return 1.0
-    if x < model.crossover:
-        return min(1.0, asymptotic_cdf(model, x))
-    floor = min(1.0, model.alpha * model.crossover ** (model.n_min * model.n_max))
-    return max(exact_cdf(model, x), floor)
+    return float(cdf(model, float(x)))

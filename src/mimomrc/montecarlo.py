@@ -19,9 +19,9 @@ import numpy as np
 
 from . import linalg
 from .correlation import CorrelationPair, exp_correlation, make_pair
-from .errors import ValidationError
+from .errors import NumericalError, ValidationError
 from .performance import Modulation, snr_from_db
-from .specfun import gauss_q
+from .specfun import gauss_q, scipy_special
 
 _BATCH = 1 << 16
 
@@ -126,17 +126,32 @@ def max_eig_snr(h, snr_db: float, check: bool = False) -> tuple[float, float]:
         vals, vecs = np.linalg.eigh(gram)
         w_opt = vecs[:, -1]
         quad = float(np.real(w_opt.conj() @ gram @ w_opt))
-        assert abs(quad - lam) <= 1e-10 * max(1.0, lam)
+        if not abs(quad - lam) <= 1e-10 * max(1.0, lam):
+            raise NumericalError(
+                f"beamformer Rayleigh quotient {quad!r} misses the largest eigenvalue {lam!r}"
+            )
         probe_rng = np.random.default_rng(0)
         for _ in range(8):
             w = probe_rng.standard_normal(n_tx) + 1j * probe_rng.standard_normal(n_tx)
             w /= np.linalg.norm(w)
-            assert float(np.real(w.conj() @ gram @ w)) <= lam * (1.0 + 1e-10)
+            probe = float(np.real(w.conj() @ gram @ w))
+            if not probe <= lam * (1.0 + 1e-10):
+                raise NumericalError(
+                    f"a probe direction gains {probe!r}, above the largest eigenvalue {lam!r}"
+                )
     return lam, gbar * lam
 
 
 def _lambda_batches(cfg: McConfig, workers: int = 1):
     """Largest-eigenvalue samples in fixed batches, deterministic order."""
+    if cfg.trials > _BATCH:
+        # A sweep of several batches loads scipy.special (for gauss_q)
+        # before its first batch allocates. Loaded after such a sweep, the
+        # module sits above the heap the batches used, and the next sweep
+        # needs new pages: a second 10^6-trial 3x3 sweep then raised the
+        # process high-water mark from 101 to 130 MB. One batch is too
+        # small for this to matter, and analytic-only use never loads it.
+        scipy_special()
     rx, tx = corr_matrices(cfg)
     rx_root = linalg.herm_sqrt(rx)
     tx_root = linalg.herm_sqrt(tx)

@@ -5,7 +5,6 @@ from __future__ import annotations
 import math
 
 import numpy as np
-from scipy.special import erfc
 
 from .errors import ValidationError
 
@@ -66,6 +65,18 @@ def double_factorial_odd(k: int) -> int:
     return math.prod(range(1, 2 * k, 2))
 
 
+def scipy_special():
+    """The ``scipy.special`` module, imported on first call.
+
+    It adds about 24 MB to the process, and only the Monte-Carlo
+    estimators need it (through :func:`gauss_q`), so the analytic paths
+    never load it.
+    """
+    import scipy.special
+
+    return scipy.special
+
+
 def gauss_q(x):
     """Gaussian tail probability Q(x) = 0.5 erfc(x / sqrt(2)).
 
@@ -73,6 +84,7 @@ def gauss_q(x):
     library erfc (a few ulp, far below the 1e-12 needed by the error-rate
     integrals); underflows cleanly to 0 in the far tail.
     """
+    erfc = scipy_special().erfc
     if np.isscalar(x):
         return 0.5 * float(erfc(float(x) / math.sqrt(2.0)))
     return 0.5 * erfc(np.asarray(x, dtype=float) / math.sqrt(2.0))

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from mimomrc import correlation, eigdist, montecarlo
-from mimomrc.errors import ValidationError
+from mimomrc.errors import NumericalError, ValidationError
 
 
 def model_for(rho_rx, n_rx, rho_tx, n_tx):
@@ -95,6 +95,19 @@ class TestExactCdf:
         model = model_for(0.5, 3, 0.9, 2)
         for x in np.linspace(0.0, 40.0, 200):
             assert 0.0 <= eigdist.exact_cdf(model, float(x)) <= 1.0
+
+    def test_out_of_range_raw_value_raises(self, monkeypatch):
+        # a typed error, not an assert that python -O strips, in the scalar
+        # and the array path alike
+        model = model_for(0.5, 2, 0.5, 2)
+        x = math.sqrt(model.crossover * model.saturation)
+        monkeypatch.setattr(eigdist, "_cdf_raw", lambda model, xs: np.full(len(xs), 1.5))
+        with pytest.raises(NumericalError, match="out of range"):
+            eigdist.exact_cdf(model, x)
+        with pytest.raises(NumericalError, match="out of range"):
+            eigdist.cdf(model, [0.5 * model.crossover, x])
+        # outside [crossover, saturation] the raw value is only clamped
+        assert eigdist.exact_cdf(model, 2.0 * model.saturation) == 1.0
 
 
 class TestAsymptotic:
@@ -240,17 +253,20 @@ class TestPsiMatrix:
                 assert psi[1 + i, j] == pytest.approx(want, rel=1e-10, abs=1e-16)
 
     def test_kernel_tail_series_matches_subtracted_form(self):
-        # same function on both sides of the internal switch
+        # same function on both sides of the internal switch at t = m + 1,
+        # with points from both sides in one array
         for m in [2, 3, 4]:
-            for t in [0.5, 1.0, float(m), float(m + 2), 30.0]:
+            ts = [0.5, 1.0, float(m), float(m + 2), 30.0]
+            got = eigdist._exp_tail(np.array(ts), m)
+            assert got.shape == (len(ts),)
+            for t, value in zip(ts, got):
                 term = 1.0
                 partial = 1.0
                 for k in range(1, m):
                     term *= -t / k
                     partial += term
                 want = math.exp(-t) - partial
-                got = eigdist._exp_tail(t, m)
-                assert got == pytest.approx(want, rel=1e-10, abs=1e-15)
+                assert value == pytest.approx(want, rel=1e-10, abs=1e-15)
 
     def test_rejects_bad_shapes(self):
         with pytest.raises(ValidationError):
@@ -283,8 +299,6 @@ class TestDegeneracyGuard:
     def test_refuses_extreme_degeneracy(self):
         # 5x5 identity on both sides: vanishing order 20, beyond what the
         # spread guard can resolve in double precision
-        from mimomrc.errors import NumericalError
-
         pair = correlation.make_pair(np.eye(5), np.eye(5))
         with pytest.raises(NumericalError, match="vanishing order"):
             eigdist.build_model(pair)

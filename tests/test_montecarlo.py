@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from mimomrc import correlation, linalg, montecarlo, performance
-from mimomrc.errors import ValidationError
+from mimomrc.errors import NumericalError, ValidationError
 
 
 class TestConfigValidation:
@@ -114,6 +114,23 @@ class TestMaxEigSnr:
     def test_rejects_nonfinite(self):
         with pytest.raises(ValidationError):
             montecarlo.max_eig_snr(np.array([[np.inf, 0.0], [0.0, 1.0]]), 0.0)
+
+    def test_check_failures_raise_numerical_error(self, monkeypatch):
+        # typed errors, so the checks survive python -O
+        eigvalsh, eigh = np.linalg.eigvalsh, np.linalg.eigh
+        h = np.array([[2.0, 0.0], [0.0, 1.0], [0.0, 0.0]])
+        # an eigenvalue the beamformer does not attain
+        monkeypatch.setattr(np.linalg, "eigvalsh", lambda a: 2.0 * eigvalsh(a))
+        with pytest.raises(NumericalError, match="Rayleigh quotient"):
+            montecarlo.max_eig_snr(h, 0.0, check=True)
+        # the smallest eigenpair passed off as the largest: attained, but
+        # beaten by probe directions
+        monkeypatch.setattr(np.linalg, "eigvalsh", lambda a: eigvalsh(a)[::-1])
+        monkeypatch.setattr(
+            np.linalg, "eigh", lambda a: tuple(v[..., ::-1] for v in eigh(a))
+        )
+        with pytest.raises(NumericalError, match="probe direction"):
+            montecarlo.max_eig_snr(h, 0.0, check=True)
 
 
 class TestEmpiricalCdf:

@@ -164,7 +164,7 @@ class TestAsymptoteEval:
 class TestQuadratureFailure:
     def test_error_carries_estimate_and_bound(self):
         # an oscillation far beyond any refinement budget
-        f = lambda v: math.sin(1e9 * v)
+        f = lambda v: np.sin(1e9 * v)
         with pytest.raises(performance.QuadratureError) as excinfo:
             performance._adaptive(
                 f, 0.0, 1.0, performance._gl_panel(f, 0.0, 1.0),
