@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import argparse
 import csv
-import math
 import sys
 from dataclasses import dataclass
 
@@ -163,20 +162,13 @@ def _cmd_ser(parser, args) -> int:
         # numbers); the per-point standard error is still exact.
         lam = montecarlo.simulate_lambda_max(_mc_config(args))
         header += ["mc", "mc_stderr"]
-        rows = [
-            row + _mc_ser_from_samples(lam, mod, row[0])
-            for row in rows
-        ]
+        full = []
+        for row in rows:
+            r = montecarlo.ser_estimate(lam, mod, row[0])
+            full.append(row + (r.estimate, r.std_error))
+        rows = full
     _emit(args, header, rows)
     return 0
-
-
-def _mc_ser_from_samples(lam, mod, snr_db):
-    gbar = performance.snr_from_db(snr_db)
-    from .specfun import gauss_q
-
-    values = mod.a * gauss_q(np.sqrt(2.0 * mod.b * gbar * lam))
-    return (float(values.mean()), float(values.std(ddof=1) / math.sqrt(len(values))))
 
 
 def _cmd_outage(parser, args) -> int:
@@ -191,14 +183,12 @@ def _cmd_outage(parser, args) -> int:
     ]
     header = ["gamma_th_db", "exact", "asymptotic"]
     if args.with_mc:
-        lam = np.sort(montecarlo.simulate_lambda_max(_mc_config(args)))
-        gbar = performance.snr_from_db(args.snr_db)
+        lam = montecarlo.simulate_lambda_max(_mc_config(args))
         header += ["mc", "mc_stderr"]
         full = []
         for row, gamma_th in zip(rows, gammas):
-            p = float(np.searchsorted(lam, gamma_th / gbar, side="right")) / len(lam)
-            se = math.sqrt(p * (1.0 - p) / len(lam))
-            full.append(row + (p, se))
+            r = montecarlo.outage_estimate(lam, args.snr_db, gamma_th)
+            full.append(row + (r.estimate, r.std_error))
         rows = full
     _emit(args, header, rows)
     return 0

@@ -60,9 +60,10 @@ _CROSSOVER_REL = 0.02
 
 # Crossover scan: geometric grid downward from where the leading term
 # equals _SCAN_TOP_CDF, ratio _SCAN_STEP per step, spanning _SCAN_DECADES.
-# The top level caps how far the leading-order substitution can sit above
-# the true curve, which bounds the absolute error of the stable evaluator
-# by _SCAN_TOP_CDF everywhere.
+# The top level caps how far the leading-order substitution and the floor
+# above it can sit from the true curve, which bounds the absolute error of
+# the stable evaluator by _SCAN_TOP_CDF below the saturation point (past
+# it the saturation threshold theta(mn) bounds it instead).
 _SCAN_TOP_CDF = 1.5e-4
 _SCAN_STEP = 0.85
 _SCAN_DECADES = 14.0
@@ -557,8 +558,14 @@ def exact_cdf_stable(model: EigDistModel, x: float) -> float:
     cancellation). Above it, the determinant form is floored at the
     crossover level so the result is continuous and nondecreasing through
     the switch; the floor is at most _SCAN_TOP_CDF, which bounds the
-    absolute deviation from the true distribution everywhere. Beyond the
-    model's saturation point the value is exactly 1.
+    absolute deviation from the true distribution up to the saturation
+    point. Beyond that point the value is exactly 1, where the form first
+    reached 1 - theta(mn): the deviation there is at most theta(mn), which
+    is 1e-4 at mn = 8, 3.2e-4 at mn = 9, 1e-3 at mn = 10 and 2e-3 from
+    mn = 11 (about 1.8e-3 is reached on 3x4 at rho 0/0.9). Everywhere the
+    absolute error is at most max(_SCAN_TOP_CDF, theta(mn)) plus the
+    determinant form's own rounding error, which the tied-eigenvalue
+    guard's noise floor estimates.
 
     The scalar face of :func:`cdf`, which gives the same value for the
     same point inside an array.

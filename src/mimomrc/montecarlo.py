@@ -1,12 +1,23 @@
 """Monte-Carlo channel simulator: the independent oracle for the analytic
 distribution and error-rate formulas.
 
-Channels are drawn as corr_rx^{1/2} * white * corr_tx^{1/2} with unit-
-variance complex Gaussian entries. Trials are partitioned into fixed-size
-batches, each driven by its own jumped Philox stream keyed by (seed,
-batch index), and batch statistics are merged with a pairwise scheme, so
-results are bit-identical for a given (config, seed) regardless of how
-many workers process the batches.
+A Kronecker channel corr_rx^{1/2} * white * corr_tx^{1/2} has the same
+largest-eigenvalue law as diag(l_rx)^{1/2} * white * diag(l_tx)^{1/2},
+because a white complex Gaussian matrix is unitarily invariant; l_rx and
+l_tx are the eigenvalues of the two correlations, which
+``numpy.linalg.eigvalsh`` supplies (the analytic side uses the in-house
+solver, so the two routes stay independent). The simulator therefore
+draws each entry (i, j) as a complex Gaussian of variance l_rx[i] *
+l_tx[j] and takes the largest eigenvalue of the Gram matrix on the
+smaller side in closed form for one or two antennas there, by
+``eigvalsh`` otherwise.
+
+Trials are partitioned into fixed-size batches, each driven by its own
+jumped Philox stream keyed by (seed, batch index), and batch statistics
+are merged with a pairwise scheme, so results are bit-identical for a
+given (config, seed) regardless of how many workers process the batches.
+The estimators take the samples as an array, so one draw can serve
+several SNRs or thresholds.
 """
 
 from __future__ import annotations
@@ -91,10 +102,37 @@ def _batch_rng(seed: int, index: int) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(seed).jumped(index))
 
 
-def _draw_white(rng: np.random.Generator, count: int, n_rx: int, n_tx: int) -> np.ndarray:
-    real = rng.standard_normal((count, n_rx, n_tx))
-    imag = rng.standard_normal((count, n_rx, n_tx))
-    return (real + 1j * imag) * math.sqrt(0.5)
+def _corr_eigenvalues(cfg: McConfig) -> tuple[np.ndarray, np.ndarray]:
+    """Ascending eigenvalues of the receive and transmit correlations.
+
+    Raises ``ValidationError`` for a matrix that is not Hermitian (entrywise
+    tolerance ``linalg.HERMITIAN_ATOL``) or not positive-definite.
+    ``eigvalsh`` alone reads one triangle, so it would take a
+    non-Hermitian matrix for a different Hermitian one.
+    """
+    eigs = []
+    for mat, label in zip(corr_matrices(cfg), ("rx_corr", "tx_corr")):
+        linalg._require_hermitian(mat, label)
+        values = np.linalg.eigvalsh(mat)
+        if not values[0] > 0.0:
+            raise ValidationError(
+                f"{label} must be positive-definite (min eigenvalue {values[0]:.3e})"
+            )
+        eigs.append(values)
+    return eigs[0], eigs[1]
+
+
+def _draw_white(
+    rng: np.random.Generator, count: int, n_rx: int, n_tx: int, std=math.sqrt(0.5)
+) -> np.ndarray:
+    """``count`` complex Gaussian matrices; ``std`` (a scalar or an
+    (n_rx, n_tx) array) is the standard deviation of the real and of the
+    imaginary part of each entry, unit variance by default."""
+    h = np.empty((count, n_rx, n_tx), dtype=np.complex128)
+    h.real = rng.standard_normal((count, n_rx, n_tx))
+    h.imag = rng.standard_normal((count, n_rx, n_tx))
+    h *= std
+    return h
 
 
 def draw_channel(cfg: McConfig, rng: np.random.Generator) -> np.ndarray:
@@ -104,6 +142,33 @@ def draw_channel(cfg: McConfig, rng: np.random.Generator) -> np.ndarray:
     tx_root = linalg.herm_sqrt(tx)
     white = _draw_white(rng, 1, cfg.n_rx, cfg.n_tx)[0]
     return rx_root @ white @ tx_root
+
+
+def lambda_max(h) -> np.ndarray:
+    """Largest eigenvalue of the Gram matrix of each channel in a
+    (count, n_rx, n_tx) batch.
+
+    The Gram matrix is taken on the smaller side. With one antenna there
+    it is the squared row norm; with two, the larger root of the 2x2
+    Gram matrix [[a, b], [b*, d]], (a + d)/2 + sqrt(((a - d)/2)^2 + |b|^2),
+    which adds two nonnegative terms and so loses no precision; with three
+    or more, ``eigvalsh``.
+    """
+    h = np.asarray(h)
+    if h.shape[1] > h.shape[2]:
+        # h^T conj(h) is the conjugate of h^H h: the same eigenvalues
+        h = h.transpose(0, 2, 1)
+    n = h.shape[1]
+    if n == 1:
+        return np.einsum("bij,bij->b", h.real, h.real) + np.einsum("bij,bij->b", h.imag, h.imag)
+    if n == 2:
+        power = np.einsum("bij,bij->bi", h.real, h.real) + np.einsum("bij,bij->bi", h.imag, h.imag)
+        cross = np.einsum("bj,bj->b", h[:, 0], h[:, 1].conj())
+        half_gap = 0.5 * (power[:, 0] - power[:, 1])
+        return 0.5 * (power[:, 0] + power[:, 1]) + np.sqrt(
+            half_gap * half_gap + cross.real * cross.real + cross.imag * cross.imag
+        )
+    return np.linalg.eigvalsh(np.einsum("bij,bkj->bik", h, h.conj()))[:, -1]
 
 
 def max_eig_snr(h, snr_db: float, check: bool = False) -> tuple[float, float]:
@@ -142,8 +207,12 @@ def max_eig_snr(h, snr_db: float, check: bool = False) -> tuple[float, float]:
     return lam, gbar * lam
 
 
-def _lambda_batches(cfg: McConfig, workers: int = 1):
-    """Largest-eigenvalue samples in fixed batches, deterministic order."""
+def simulate_lambda_max(cfg: McConfig, workers: int = 1) -> np.ndarray:
+    """All largest-eigenvalue samples for the config (trials,).
+
+    Batch ``i`` holds trials ``i * _BATCH`` onward and is drawn from its
+    own stream, so the samples do not depend on ``workers``.
+    """
     if cfg.trials > _BATCH:
         # A sweep of several batches loads scipy.special (for gauss_q)
         # before its first batch allocates. Loaded after such a sweep, the
@@ -152,36 +221,24 @@ def _lambda_batches(cfg: McConfig, workers: int = 1):
         # process high-water mark from 101 to 130 MB. One batch is too
         # small for this to matter, and analytic-only use never loads it.
         scipy_special()
-    rx, tx = corr_matrices(cfg)
-    rx_root = linalg.herm_sqrt(rx)
-    tx_root = linalg.herm_sqrt(tx)
-    counts = []
-    left = cfg.trials
-    while left > 0:
-        counts.append(min(_BATCH, left))
-        left -= counts[-1]
+    rx_eigs, tx_eigs = _corr_eigenvalues(cfg)
+    std = np.sqrt(0.5 * np.outer(rx_eigs, tx_eigs))
+    out = np.empty(cfg.trials)
 
-    def one(index_count):
-        index, count = index_count
-        rng = _batch_rng(cfg.seed, index)
-        white = _draw_white(rng, count, cfg.n_rx, cfg.n_tx)
-        h = rx_root @ white @ tx_root
-        if cfg.n_tx <= cfg.n_rx:
-            gram = np.einsum("bij,bik->bjk", h.conj(), h)
-        else:
-            gram = np.einsum("bij,bkj->bik", h, h.conj())
-        return np.linalg.eigvalsh(gram)[:, -1]
+    def one(index):
+        start = index * _BATCH
+        count = min(_BATCH, cfg.trials - start)
+        h = _draw_white(_batch_rng(cfg.seed, index), count, cfg.n_rx, cfg.n_tx, std)
+        out[start : start + count] = lambda_max(h)
 
-    tasks = list(enumerate(counts))
+    batches = range(math.ceil(cfg.trials / _BATCH))
     if workers > 1:
         with ThreadPoolExecutor(max_workers=workers) as pool:
-            return list(pool.map(one, tasks))
-    return [one(t) for t in tasks]
-
-
-def simulate_lambda_max(cfg: McConfig, workers: int = 1) -> np.ndarray:
-    """All largest-eigenvalue samples for the config (trials,)."""
-    return np.concatenate(_lambda_batches(cfg, workers=workers))
+            list(pool.map(one, batches))
+    else:
+        for index in batches:
+            one(index)
+    return out
 
 
 def empirical_cdf(cfg: McConfig, grid, workers: int = 1) -> np.ndarray:
@@ -214,39 +271,49 @@ def _pairwise_reduce(stats):
     return stats[0]
 
 
-def _mean_result(batch_values) -> McResult:
+def ser_estimate(samples: np.ndarray, mod: Modulation, snr_db: float) -> McResult:
+    """Semi-analytic SER over largest-eigenvalue samples: the sample mean
+    of a*Q(sqrt(2*b*snr*lambda)).
+
+    Unbiased for the ensemble-average SER with far lower variance than
+    symbol counting, which is what the quadrature result is compared to.
+    Statistics are taken per ``_BATCH`` samples and merged pairwise, so the
+    result does not depend on how the samples were computed.
+    """
+    gbar = snr_from_db(snr_db)
     stats = []
-    for values in batch_values:
+    for start in range(0, samples.size, _BATCH):
+        values = mod.a * gauss_q(np.sqrt(2.0 * mod.b * gbar * samples[start : start + _BATCH]))
         mean = float(values.mean())
-        stats.append((len(values), mean, float(((values - mean) ** 2).sum())))
+        stats.append((values.size, mean, float(((values - mean) ** 2).sum())))
     n, mean, m2 = _pairwise_reduce(stats)
     std_error = math.sqrt(m2 / (n - 1) / n) if n > 1 else 0.0
     return McResult(estimate=mean, std_error=std_error, trials=n)
 
 
-def mc_ser(cfg: McConfig, mod: Modulation, snr_db: float, workers: int = 1) -> McResult:
-    """Semi-analytic SER: the sample mean of a*Q(sqrt(2*b*snr*lambda)).
-
-    Unbiased for the ensemble-average SER with far lower variance than
-    symbol counting, which is what the quadrature result is compared to.
-    """
-    gbar = snr_from_db(snr_db)
-    batches = [
-        mod.a * gauss_q(np.sqrt(2.0 * mod.b * gbar * lam))
-        for lam in _lambda_batches(cfg, workers=workers)
-    ]
-    return _mean_result(batches)
-
-
-def mc_outage(cfg: McConfig, snr_db: float, gamma_th: float, workers: int = 1) -> McResult:
-    """Fraction of trials whose output SNR falls at or below gamma_th."""
+def _threshold(gamma_th) -> float:
     gamma_th = float(gamma_th)
     if not (gamma_th > 0.0 and math.isfinite(gamma_th)):
         raise ValidationError(f"outage threshold must be positive, got {gamma_th!r}")
+    return gamma_th
+
+
+def outage_estimate(samples: np.ndarray, snr_db: float, gamma_th: float) -> McResult:
+    """Fraction of largest-eigenvalue samples whose output SNR falls at or
+    below gamma_th, with its binomial standard error."""
+    gamma_th = _threshold(gamma_th)
     gbar = snr_from_db(snr_db)
-    hits = 0
-    for lam in _lambda_batches(cfg, workers=workers):
-        hits += int(np.count_nonzero(gbar * lam <= gamma_th))
-    p = hits / cfg.trials
-    std_error = math.sqrt(p * (1.0 - p) / cfg.trials)
-    return McResult(estimate=p, std_error=std_error, trials=cfg.trials)
+    p = np.count_nonzero(samples <= gamma_th / gbar) / samples.size
+    std_error = math.sqrt(p * (1.0 - p) / samples.size)
+    return McResult(estimate=p, std_error=std_error, trials=samples.size)
+
+
+def mc_ser(cfg: McConfig, mod: Modulation, snr_db: float, workers: int = 1) -> McResult:
+    """:func:`ser_estimate` over the config's samples."""
+    return ser_estimate(simulate_lambda_max(cfg, workers=workers), mod, snr_db)
+
+
+def mc_outage(cfg: McConfig, snr_db: float, gamma_th: float, workers: int = 1) -> McResult:
+    """:func:`outage_estimate` over the config's samples."""
+    _threshold(gamma_th)  # refuse before drawing
+    return outage_estimate(simulate_lambda_max(cfg, workers=workers), snr_db, gamma_th)

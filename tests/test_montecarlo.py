@@ -1,12 +1,43 @@
-"""Simulator tests: channel statistics, determinism, estimator sanity."""
+"""Simulator tests: channel statistics, determinism, estimator sanity, and
+the eigenbasis draw against the full-matrix one."""
 
 import math
+import sys
 
 import numpy as np
 import pytest
 
-from mimomrc import correlation, linalg, montecarlo, performance
+from mimomrc import cli, correlation, linalg, montecarlo, performance
 from mimomrc.errors import NumericalError, ValidationError
+
+
+def full_matrix_channels(cfg, rng, count):
+    """``count`` channels drawn as corr_rx^{1/2} * white * corr_tx^{1/2}:
+    the route the simulator's eigenbasis draw replaces, kept here as its
+    reference."""
+    rx, tx = montecarlo.corr_matrices(cfg)
+    white = montecarlo._draw_white(rng, count, cfg.n_rx, cfg.n_tx)
+    return linalg.herm_sqrt(rx) @ white @ linalg.herm_sqrt(tx)
+
+
+def eigvalsh_lambda_max(h):
+    """Largest eigenvalue of the Gram matrix on the smaller side of each
+    channel in a batch, by eigvalsh."""
+    if h.shape[1] <= h.shape[2]:
+        gram = np.einsum("bij,bkj->bik", h, h.conj())
+    else:
+        gram = np.einsum("bji,bjk->bik", h.conj(), h)
+    return np.linalg.eigvalsh(gram)[:, -1]
+
+
+def full_matrix_lambda_max(cfg):
+    """Largest eigenvalues of the full-matrix route in the simulator's batches."""
+    out = []
+    for index, start in enumerate(range(0, cfg.trials, montecarlo._BATCH)):
+        count = min(montecarlo._BATCH, cfg.trials - start)
+        h = full_matrix_channels(cfg, montecarlo._batch_rng(cfg.seed, index), count)
+        out.append(eigvalsh_lambda_max(h))
+    return np.concatenate(out)
 
 
 class TestConfigValidation:
@@ -52,12 +83,7 @@ class TestDrawChannel:
     def test_unit_entry_power(self):
         cfg = montecarlo.McConfig(n_rx=2, n_tx=2, rho_rx=0.9, rho_tx=0.5,
                                   trials=100_000, seed=2)
-        rx, tx = montecarlo.corr_matrices(cfg)
-        rx_root = linalg.herm_sqrt(rx)
-        tx_root = linalg.herm_sqrt(tx)
-        rng = np.random.Generator(np.random.Philox(2))
-        white = montecarlo._draw_white(rng, cfg.trials, 2, 2)
-        h = rx_root @ white @ tx_root
+        h = full_matrix_channels(cfg, np.random.Generator(np.random.Philox(2)), cfg.trials)
         powers = np.abs(h) ** 2
         mean = powers.mean(axis=0)
         se = powers.std(axis=0) / math.sqrt(cfg.trials)
@@ -72,11 +98,7 @@ class TestDrawChannel:
             cfg = montecarlo.McConfig(n_rx=n_rx, n_tx=n_tx, rho_rx=rho_rx,
                                       rho_tx=rho_tx, trials=trials, seed=8)
             rx, tx = montecarlo.corr_matrices(cfg)
-            rx_root = linalg.herm_sqrt(rx)
-            tx_root = linalg.herm_sqrt(tx)
-            rng = np.random.Generator(np.random.Philox(8))
-            white = montecarlo._draw_white(rng, trials, n_rx, n_tx)
-            h = rx_root @ white @ tx_root
+            h = full_matrix_channels(cfg, np.random.Generator(np.random.Philox(8)), trials)
             vec = h.transpose(0, 2, 1).reshape(trials, n_rx * n_tx)  # column stacking
             prods = vec[:, :, None] * vec.conj()[:, None, :]
             cov = prods.mean(axis=0)
@@ -244,13 +266,170 @@ class TestDeterminism:
         assert a.estimate != b.estimate
 
     def test_worker_count_invariance(self):
-        # spans several batches so the reduction order matters
-        cfg = montecarlo.McConfig(n_rx=2, n_tx=2, rho_rx=0.3, trials=200_000, seed=55)
+        # spans several batches so the reduction order matters; one
+        # geometry per lambda_max branch
         mod = performance.modulation_preset("bpsk")
-        serial = montecarlo.mc_ser(cfg, mod, 8.0, workers=1)
-        threaded = montecarlo.mc_ser(cfg, mod, 8.0, workers=4)
-        assert (serial.estimate, serial.std_error) == (threaded.estimate, threaded.std_error)
-        np.testing.assert_array_equal(
-            montecarlo.simulate_lambda_max(cfg, workers=1),
-            montecarlo.simulate_lambda_max(cfg, workers=3),
+        for n_rx, n_tx in [(2, 2), (3, 3), (4, 1)]:
+            cfg = montecarlo.McConfig(n_rx=n_rx, n_tx=n_tx, rho_rx=0.3, trials=200_000, seed=55)
+            serial = montecarlo.mc_ser(cfg, mod, 8.0, workers=1)
+            serial_samples = montecarlo.simulate_lambda_max(cfg, workers=1)
+            # batches write disjoint slices of one array; switch threads
+            # often so that a lost or misplaced write would show
+            interval = sys.getswitchinterval()
+            sys.setswitchinterval(1e-6)
+            try:
+                threaded = montecarlo.mc_ser(cfg, mod, 8.0, workers=4)
+                threaded_samples = montecarlo.simulate_lambda_max(cfg, workers=3)
+            finally:
+                sys.setswitchinterval(interval)
+            assert (serial.estimate, serial.std_error) == (threaded.estimate, threaded.std_error)
+            np.testing.assert_array_equal(serial_samples, threaded_samples)
+
+
+class TestCorrelationChecks:
+    # eigvalsh reads one triangle, so each of these would pass it silently
+    NON_HERMITIAN = np.array([[1.0, 0.5], [0.1, 1.0]])
+    SYMMETRIC_COMPLEX = np.array([[1.0, 0.5j], [0.5j, 1.0]])
+    INDEFINITE = np.array([[1.0, 1.2], [1.2, 1.0]])
+    CASES = [
+        (NON_HERMITIAN, "Hermitian"),
+        (SYMMETRIC_COMPLEX, "Hermitian"),
+        (INDEFINITE, "positive-definite"),
+    ]
+
+    @pytest.mark.parametrize("side", ["rx_corr", "tx_corr"])
+    @pytest.mark.parametrize("mat, match", CASES)
+    def test_refused_by_every_entry_point(self, side, mat, match):
+        cfg = montecarlo.McConfig(n_rx=2, n_tx=2, trials=10, seed=0, **{side: mat})
+        mod = performance.modulation_preset("bpsk")
+        with pytest.raises(ValidationError, match=match):
+            montecarlo.simulate_lambda_max(cfg)
+        with pytest.raises(ValidationError, match=match):
+            montecarlo.mc_ser(cfg, mod, 10.0)
+        with pytest.raises(ValidationError, match=match):
+            montecarlo.mc_outage(cfg, 0.0, 1.0)
+        with pytest.raises(ValidationError, match=match):
+            montecarlo.empirical_cdf(cfg, np.array([1.0]))
+
+    def test_rounding_within_tolerance_accepted(self):
+        mat = np.array([[1.0, 0.5 + 0.5 * linalg.HERMITIAN_ATOL], [0.5, 1.0]])
+        cfg = montecarlo.McConfig(n_rx=2, n_tx=2, rx_corr=mat, trials=10, seed=0)
+        assert montecarlo.simulate_lambda_max(cfg).shape == (10,)
+
+
+class TestClosedForms:
+    """lambda_max against eigvalsh of the Gram matrix of the same channels."""
+
+    @staticmethod
+    def special_pairs(m):
+        """Two-row channels: tied (orthogonal rows of equal norm) and
+        near rank one (the second row a multiple of the first plus a
+        perturbation down to 1e-12), at scales 1e-3 to 1e3."""
+        rng = np.random.default_rng(31)
+        rows = []
+        for _ in range(20):
+            u = rng.standard_normal(m) + 1j * rng.standard_normal(m)
+            v = rng.standard_normal(m) + 1j * rng.standard_normal(m)
+            v -= (u.conj() @ v) / (u.conj() @ u) * u
+            v *= np.linalg.norm(u) / np.linalg.norm(v)
+            rows.append((u, v))  # tied
+            for eps in (1e-4, 1e-8, 1e-12):
+                rows.append((u, (0.3 - 0.7j) * u + eps * v))
+            rows.append((u, np.zeros(m)))  # rank one
+        scales = np.repeat(np.geomspace(1e-3, 1e3, 4), len(rows))
+        h = np.array([np.stack(pair) for pair in rows] * 4)
+        return h * scales[:, None, None]
+
+    def assert_close(self, h):
+        got = montecarlo.lambda_max(h)
+        want = eigvalsh_lambda_max(h)
+        assert np.max(np.abs(got / want - 1.0)) <= 1e-13
+
+    @pytest.mark.parametrize("m", [1, 2, 4])
+    def test_one_antenna_both_orientations(self, m):
+        rng = np.random.Generator(np.random.Philox(41))
+        h = montecarlo._draw_white(rng, 5000, 1, m) * np.geomspace(1e-3, 1e3, 5000)[:, None, None]
+        self.assert_close(h)
+        self.assert_close(h.transpose(0, 2, 1).copy())
+
+    @pytest.mark.parametrize("m", [2, 3, 5])
+    def test_two_antennas_both_orientations(self, m):
+        rng = np.random.Generator(np.random.Philox(43))
+        random = montecarlo._draw_white(rng, 5000, 2, m)
+        for h in (random, self.special_pairs(m)):
+            self.assert_close(h)
+            self.assert_close(h.transpose(0, 2, 1).copy())
+
+    def test_tied_pair_is_exact(self):
+        h = np.array([[[1.0, 0.0, 0.0], [0.0, 1.0, 0.0]]], dtype=np.complex128)
+        assert montecarlo.lambda_max(h)[0] == 1.0
+
+
+# Fixed before any run: one seed per case for each route.
+COMPLEX_RX = np.array([[1.0, 0.4 + 0.3j, 0.1 - 0.25j],
+                       [0.4 - 0.3j, 1.0, 0.5j],
+                       [0.1 + 0.25j, -0.5j, 1.0]])
+COMPLEX_TX = np.array([[1.0, 0.7 - 0.5j], [0.7 + 0.5j, 1.0]])
+ROUTE_CASES = [
+    # (n_rx, n_tx, config keywords, eigenbasis seed, full-matrix seed)
+    (1, 4, dict(rho_tx=0.9), 4101, 4201),
+    (4, 1, dict(rho_rx=0.9), 4102, 4202),
+    (2, 2, dict(rho_rx=0.5, rho_tx=0.9), 4103, 4203),
+    (2, 3, dict(rho_rx=0.9, rho_tx=0.5), 4104, 4204),
+    (3, 2, dict(rho_rx=0.5, rho_tx=0.9), 4105, 4205),
+    (3, 3, dict(rho_rx=0.9, rho_tx=0.5), 4106, 4206),
+    (3, 2, dict(rx_corr=COMPLEX_RX, tx_corr=COMPLEX_TX), 4107, 4207),
+]
+
+
+class TestEigenbasisRoute:
+    TRIALS = 200_000
+    # Two-sample bound from the one-sample DKW inequality (Massart's
+    # constant): each empirical c.d.f. is within eps of the true one except
+    # with probability 2 exp(-2 n eps^2), so the two are within 2 eps of
+    # each other except with probability ALPHA, dependent or not.
+    ALPHA = 1e-6
+
+    @pytest.mark.parametrize("n_rx, n_tx, corr, seed, full_seed", ROUTE_CASES)
+    def test_same_law_as_full_matrix_route(self, n_rx, n_tx, corr, seed, full_seed):
+        cfg = montecarlo.McConfig(n_rx=n_rx, n_tx=n_tx, trials=self.TRIALS, seed=seed, **corr)
+        full_cfg = montecarlo.McConfig(
+            n_rx=n_rx, n_tx=n_tx, trials=self.TRIALS, seed=full_seed, **corr
         )
+        a = np.sort(montecarlo.simulate_lambda_max(cfg))
+        b = np.sort(full_matrix_lambda_max(full_cfg))
+        both = np.concatenate([a, b])
+        sup = np.max(np.abs(
+            np.searchsorted(a, both, side="right") - np.searchsorted(b, both, side="right")
+        )) / self.TRIALS
+        bound = 2.0 * math.sqrt(math.log(4.0 / self.ALPHA) / (2.0 * self.TRIALS))
+        assert sup <= bound, (n_rx, n_tx, sup, bound)
+
+
+class TestEstimators:
+    def test_library_and_cli_share_the_estimators(self, capsys):
+        cfg = montecarlo.McConfig(n_rx=2, n_tx=3, rho_rx=0.5, trials=150_000, seed=19)
+        flags = ["--nr", "2", "--nt", "3", "--rho-rx", "0.5", "--with-mc",
+                 "--trials", "150000", "--seed", "19"]
+        mod = performance.modulation_preset("qpsk")
+        assert cli.main(["ser", *flags, "--mod", "qpsk", "--sweep", "0:20:3"]) == 0
+        rows = [line.split(",") for line in capsys.readouterr().out.splitlines()[1:]]
+        for row in rows:
+            r = montecarlo.mc_ser(cfg, mod, float(row[0]))
+            assert (float(row[3]), float(row[4])) == (r.estimate, r.std_error)
+        assert cli.main(["outage", *flags, "--snr-db", "5", "--sweep", "0:10:3"]) == 0
+        rows = [line.split(",") for line in capsys.readouterr().out.splitlines()[1:]]
+        for row in rows:
+            r = montecarlo.mc_outage(cfg, 5.0, 10.0 ** (float(row[0]) / 10.0))
+            assert (float(row[3]), float(row[4])) == (r.estimate, r.std_error)
+
+    def test_one_draw_serves_every_point(self):
+        cfg = montecarlo.McConfig(n_rx=3, n_tx=2, rho_tx=0.5, trials=70_000, seed=4)
+        samples = montecarlo.simulate_lambda_max(cfg)
+        mod = performance.modulation_preset("8psk")
+        for snr_db in (0.0, 15.0):
+            assert montecarlo.ser_estimate(samples, mod, snr_db) == montecarlo.mc_ser(cfg, mod, snr_db)
+            assert montecarlo.outage_estimate(samples, snr_db, 2.0) == montecarlo.mc_outage(cfg, snr_db, 2.0)
+        grid = np.linspace(0.0, 12.0, 7)
+        want = [montecarlo.outage_estimate(samples, 0.0, x).estimate for x in grid[1:]]
+        np.testing.assert_array_equal(montecarlo.empirical_cdf(cfg, grid)[1:], want)

@@ -244,3 +244,36 @@ class TestBatchIndependence:
         assert values.shape == (3, 4)
         assert values[0, 0] == 0.0
         assert np.all(np.diff(values.ravel()) >= 0.0)
+
+
+class TestStableBound:
+    """exact_cdf_stable within max(_SCAN_TOP_CDF, theta(mn)) of the
+    50-digit determinant form, across the floor and past saturation."""
+
+    # (n_rx, n_tx, rho_rx, rho_tx): the largest errors seen on the grid of
+    # 1-4 antennas a side, near the floor (2x4 at rho 0.9/0.9) and past
+    # saturation (3x4 and 4x4), and one small model
+    MODELS = [(3, 4, 0.0, 0.9), (4, 3, 0.9, 0.0), (4, 4, 0.9, 0.9), (2, 4, 0.9, 0.9), (3, 3, 0.5, 0.5)]
+
+    @staticmethod
+    def bound(model):
+        mn = model.n_min * model.n_max
+        return max(eigdist._SCAN_TOP_CDF, eigdist._saturation_theta(mn))
+
+    def test_near_saturation(self):
+        # the form is 0.998156 at 37.5, near where the evaluator starts
+        # reporting 1
+        model = model_for(3, 4, 0.0, 0.9)
+        err = abs(eigdist.exact_cdf_stable(model, 37.5) - mp_cdf_raw(model, 37.5))
+        assert err <= self.bound(model)
+
+    @pytest.mark.parametrize("args", MODELS)
+    def test_bound_holds(self, args):
+        model = model_for(*args)
+        xs = np.concatenate([
+            np.geomspace(model.crossover * 0.5, model.crossover * 2.0, 6),
+            np.geomspace(model.saturation * 0.8, model.saturation * 1.6, 10),
+        ])
+        got = eigdist.cdf(model, xs)
+        err = max(abs(g - mp_cdf_raw(model, x)) for g, x in zip(got, xs))
+        assert err <= self.bound(model), (args, err, self.bound(model))
