@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import math
 import sys
 from dataclasses import dataclass
 
@@ -39,6 +40,8 @@ def _parse_sweep(text: str) -> SweepSpec:
         start, stop, points = float(parts[0]), float(parts[1]), int(parts[2])
     except ValueError as exc:
         raise argparse.ArgumentTypeError(f"bad sweep value: {exc}") from None
+    if not (math.isfinite(start) and math.isfinite(stop)):
+        raise argparse.ArgumentTypeError(f"sweep start and stop must be finite, got {text!r}")
     if not (start < stop):
         raise argparse.ArgumentTypeError("sweep start must be below stop")
     if points < 2:

@@ -9,8 +9,11 @@ l_tx are the eigenvalues of the two correlations, which
 solver, so the two routes stay independent). The simulator therefore
 draws each entry (i, j) as a complex Gaussian of variance l_rx[i] *
 l_tx[j] and takes the largest eigenvalue of the Gram matrix on the
-smaller side in closed form for one or two antennas there, by
-``eigvalsh`` otherwise.
+smaller side in closed form for up to three antennas there, by
+``eigvalsh`` from four. For three the closed form is the trigonometric
+root of the characteristic cubic; the rows where it would lose accuracy
+(a near-tied top pair, or three nearly equal eigenvalues) are recomputed
+by ``eigvalsh``.
 
 Trials are partitioned into fixed-size batches, each driven by its own
 jumped Philox stream keyed by (seed, batch index), and batch statistics
@@ -151,8 +154,10 @@ def lambda_max(h) -> np.ndarray:
     The Gram matrix is taken on the smaller side. With one antenna there
     it is the squared row norm; with two, the larger root of the 2x2
     Gram matrix [[a, b], [b*, d]], (a + d)/2 + sqrt(((a - d)/2)^2 + |b|^2),
-    which adds two nonnegative terms and so loses no precision; with three
-    or more, ``eigvalsh``.
+    which adds two nonnegative terms and so loses no precision; with three,
+    :func:`_lambda_max_three` (the trigonometric root of the cubic, with
+    ``eigvalsh`` for the rows it cannot resolve); with four or more,
+    ``eigvalsh``.
     """
     h = np.asarray(h)
     if h.shape[1] > h.shape[2]:
@@ -168,7 +173,77 @@ def lambda_max(h) -> np.ndarray:
         return 0.5 * (power[:, 0] + power[:, 1]) + np.sqrt(
             half_gap * half_gap + cross.real * cross.real + cross.imag * cross.imag
         )
+    if n == 3:
+        return _lambda_max_three(h)
+    return _gram_lambda_max(h)
+
+
+def _gram_lambda_max(h: np.ndarray) -> np.ndarray:
+    """Largest eigenvalue of each h h^H in a (count, n, m) batch, by ``eigvalsh``."""
     return np.linalg.eigvalsh(np.einsum("bij,bkj->bik", h, h.conj()))[:, -1]
+
+
+# The trigonometric root of the 3x3 cubic has relative error about
+# eps / sqrt(1 + r): acos amplifies the rounding in r as r tends to -1,
+# which is where the top two eigenvalues tie (1 + r is about
+# 3/8 (gap/p)^2). Rows with 1 + r below _TIE_LIMIT, where the error would
+# pass eps / 1e-2 = 2e-14 (a gap below about p/60), are recomputed by
+# eigvalsh. r itself carries rounding of about eps / (p/q) from the
+# cancellation in a_ii - q, so rows with p/q at most _SPREAD_LIMIT (three
+# nearly equal eigenvalues) are recomputed too: the tie test could not be
+# trusted there, and above it that rounding stays near 2e-10, far below
+# _TIE_LIMIT.
+_TIE_LIMIT = 1e-4
+_SPREAD_LIMIT = 1e-6
+
+
+def _lambda_max_three(h: np.ndarray) -> np.ndarray:
+    """Largest eigenvalue of each h h^H in a (count, 3, m) batch.
+
+    With q = tr(A)/3, p^2 = ||A - qI||_F^2 / 6 and r = det(A - qI)/(2 p^3),
+    the largest eigenvalue is q + 2p cos(acos(r)/3) (O. K. Smith, CACM
+    1961), a sum of two nonnegative terms. The diagonal and the three
+    cross terms of A come from real einsums, without the complex Gram
+    matrix, and are scaled by 1/q so that p^3 cannot underflow or overflow.
+    As in J. Kopp's hybrid method (IJMPC 2008), rows where the closed form
+    is inaccurate, r too close to -1 or p/q too small, are recomputed by
+    ``eigvalsh``.
+    """
+    h = np.ascontiguousarray(h)
+    count, _, m = h.shape
+    # (re, im) of each row side by side: a dot product of two rows of
+    # this view is the real part of their complex inner product
+    pairs = h.view(np.float64).reshape(count, 3, 2 * m)
+    re, im = h.real, h.imag
+    a0, a1, a2 = np.einsum("bij,bij->ib", pairs, pairs)
+    q = (a0 + a1 + a2) / 3.0
+    with np.errstate(divide="ignore", invalid="ignore"):
+        inv_q = 1.0 / q
+        d0, d1, d2 = (a0 - q) * inv_q, (a1 - q) * inv_q, (a2 - q) * inv_q
+
+        def cross(i, k):
+            # A_ik = sum_j h_ij conj(h_kj), over q
+            x = np.einsum("bj,bj->b", pairs[:, i], pairs[:, k])
+            y = np.einsum("bj,bj->b", im[:, i], re[:, k])
+            y -= np.einsum("bj,bj->b", re[:, i], im[:, k])
+            return x * inv_q, y * inv_q
+
+        (x01, y01), (x12, y12), (x02, y02) = cross(0, 1), cross(1, 2), cross(0, 2)
+        s01 = x01 * x01 + y01 * y01
+        s12 = x12 * x12 + y12 * y12
+        s02 = x02 * x02 + y02 * y02
+        p2 = (d0 * d0 + d1 * d1 + d2 * d2 + 2.0 * (s01 + s12 + s02)) / 6.0
+        p = np.sqrt(p2)
+        # Re(A_01 A_12 A_20) for the two off-diagonal cycles of the determinant
+        cycle = (x01 * x12 - y01 * y12) * x02 + (x01 * y12 + y01 * x12) * y02
+        det = d0 * d1 * d2 + 2.0 * cycle - d0 * s12 - d1 * s02 - d2 * s01
+        r = det / (2.0 * p2 * p)
+        lam = q * (1.0 + 2.0 * p * np.cos(np.arccos(np.clip(r, -1.0, 1.0)) / 3.0))
+        # a zero channel gives NaN, which fails both tests
+        recompute = ~((1.0 + r >= _TIE_LIMIT) & (p > _SPREAD_LIMIT))
+    if recompute.any():
+        lam[recompute] = _gram_lambda_max(h[recompute])
+    return lam
 
 
 def max_eig_snr(h, snr_db: float, check: bool = False) -> tuple[float, float]:

@@ -9,27 +9,6 @@ import numpy as np
 from .errors import ValidationError
 
 
-def reg_lower_gamma(l: int, y: float) -> float:
-    """Regularized lower incomplete gamma at integer order:
-    P(l; y) = 1 - e^{-y} sum_{k=0}^{l-1} y^k / k!.
-
-    Evaluated through the exact finite sum (l is always a small integer
-    here); monotone nondecreasing in y.
-    """
-    if not isinstance(l, (int, np.integer)) or l < 1:
-        raise ValidationError(f"order must be an integer >= 1, got {l!r}")
-    y = float(y)
-    if not math.isfinite(y) or y < 0.0:
-        raise ValidationError(f"argument must be finite and >= 0, got {y!r}")
-    term = 1.0
-    partial = 1.0
-    for k in range(1, l):
-        term *= y / k
-        partial += term
-    value = 1.0 - math.exp(-y) * partial
-    return min(1.0, max(0.0, value))
-
-
 def multivariate_gamma_norm(n: int, m: int) -> int:
     """Normalized complex multivariate gamma: product_{i=1}^{n} Gamma(m - i + 1).
 

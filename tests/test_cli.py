@@ -3,6 +3,7 @@
 import csv
 import io
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -228,6 +229,21 @@ class TestExitCodes:
         with pytest.raises(SystemExit) as excinfo:
             cli.main(["cdf", "--nr", "1", "--nt", "1", "--sweep", "5:1:10"])
         assert excinfo.value.code == 2
+
+    @pytest.mark.parametrize("command", [
+        ["cdf"],
+        ["ser", "--mod", "bpsk"],
+        ["outage", "--snr-db", "0"],
+    ])
+    @pytest.mark.parametrize("sweep", ["0:inf:3", "-inf:0:3", "0:nan:3", "nan:1:3"])
+    def test_non_finite_sweep(self, command, sweep, capsys):
+        # refused while parsing, before numpy can warn about the grid
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(SystemExit) as excinfo:
+                cli.main([*command, "--nr", "1", "--nt", "1", "--sweep", sweep])
+        assert excinfo.value.code == 2
+        assert "sweep start and stop must be finite" in capsys.readouterr().err
 
     def test_single_point_sweep(self):
         with pytest.raises(SystemExit) as excinfo:

@@ -269,7 +269,7 @@ class TestDeterminism:
         # spans several batches so the reduction order matters; one
         # geometry per lambda_max branch
         mod = performance.modulation_preset("bpsk")
-        for n_rx, n_tx in [(2, 2), (3, 3), (4, 1)]:
+        for n_rx, n_tx in [(2, 2), (3, 3), (4, 4), (4, 1)]:
             cfg = montecarlo.McConfig(n_rx=n_rx, n_tx=n_tx, rho_rx=0.3, trials=200_000, seed=55)
             serial = montecarlo.mc_ser(cfg, mod, 8.0, workers=1)
             serial_samples = montecarlo.simulate_lambda_max(cfg, workers=1)
@@ -364,6 +364,81 @@ class TestClosedForms:
         h = np.array([[[1.0, 0.0, 0.0], [0.0, 1.0, 0.0]]], dtype=np.complex128)
         assert montecarlo.lambda_max(h)[0] == 1.0
 
+    # Gram spectra of three-row channels. The closed form cannot resolve
+    # the first group (a tied or nearly tied top pair, down to a relative
+    # gap of 1e-12, and the triple tie) and must hand it to eigvalsh; the
+    # second keeps a well separated top.
+    TIED_TOP = [
+        (1.0, 1.0, 0.3),
+        *((1.0, 1.0 - gap, 0.3) for gap in (1e-4, 1e-6, 1e-8, 1e-10, 1e-12)),
+        (1.0, 1.0, 1.0),
+        (1.0, 1.0, 0.0),  # rank two with a tie
+    ]
+    SEPARATED_TOP = [(1.0, 0.3, 0.3), (1.0, 0.0, 0.0)]  # tied bottom; rank one
+
+    @staticmethod
+    def special_triples(m, spectra):
+        """Three-row channels U diag(sqrt(spectrum)) V with Haar unitary U
+        (3x3) and the first three rows of a Haar unitary V (m x m), so the
+        Gram matrix has the given spectrum, at scales 1e-3 to 1e3."""
+        rng = np.random.default_rng(37)
+
+        def haar(n):
+            q, r = np.linalg.qr(rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n)))
+            return q * (np.diag(r) / np.abs(np.diag(r)))
+
+        rows = [
+            haar(3) @ np.diag(np.sqrt(spectrum)) @ haar(m)[:3]
+            for spectrum in spectra
+            for _ in range(20)
+        ]
+        scales = np.repeat(np.geomspace(1e-3, 1e3, 4), len(rows))
+        return np.array(rows * 4) * scales[:, None, None]
+
+    @staticmethod
+    def recomputed_rows(h, monkeypatch):
+        """How many rows of h lambda_max hands to eigvalsh."""
+        seen = []
+        eigvalsh = np.linalg.eigvalsh
+
+        def counting(a):
+            seen.append(len(a))
+            return eigvalsh(a)
+
+        with monkeypatch.context() as patch:
+            patch.setattr(np.linalg, "eigvalsh", counting)
+            montecarlo.lambda_max(h)
+        return sum(seen)
+
+    @pytest.mark.parametrize("m", [3, 4, 5])
+    def test_three_antennas_both_orientations(self, m):
+        rng = np.random.Generator(np.random.Philox(47))
+        random = montecarlo._draw_white(rng, 5000, 3, m)
+        special = self.special_triples(m, self.TIED_TOP + self.SEPARATED_TOP)
+        for h in (random, special):
+            self.assert_close(h)
+            self.assert_close(h.transpose(0, 2, 1).copy())
+
+    def test_three_antennas_at_extreme_scales(self):
+        # unscaled, p^3 would lose digits to underflow near 1e-52
+        rng = np.random.Generator(np.random.Philox(59))
+        h = montecarlo._draw_white(rng, 1000, 3, 4)
+        for scale in (1e-150, 1e-52, 1e52, 1e150):
+            self.assert_close(h * scale)
+
+    @pytest.mark.parametrize("m", [3, 4])
+    def test_only_unresolved_rows_take_eigvalsh(self, m, monkeypatch):
+        rng = np.random.Generator(np.random.Philox(53))
+        random = montecarlo._draw_white(rng, 5000, 3, m)
+        tied = self.special_triples(m, self.TIED_TOP)
+        separated = self.special_triples(m, self.SEPARATED_TOP)
+        assert self.recomputed_rows(random, monkeypatch) == 0
+        assert self.recomputed_rows(tied, monkeypatch) == len(tied)
+        assert self.recomputed_rows(separated, monkeypatch) == 0
+
+    def test_zero_channel(self):
+        assert np.array_equal(montecarlo.lambda_max(np.zeros((2, 3, 4), complex)), [0.0, 0.0])
+
 
 # Fixed before any run: one seed per case for each route.
 COMPLEX_RX = np.array([[1.0, 0.4 + 0.3j, 0.1 - 0.25j],
@@ -379,6 +454,7 @@ ROUTE_CASES = [
     (3, 2, dict(rho_rx=0.5, rho_tx=0.9), 4105, 4205),
     (3, 3, dict(rho_rx=0.9, rho_tx=0.5), 4106, 4206),
     (3, 2, dict(rx_corr=COMPLEX_RX, tx_corr=COMPLEX_TX), 4107, 4207),
+    (4, 3, dict(rho_rx=0.5, rho_tx=0.9), 4108, 4208),
 ]
 
 

@@ -9,43 +9,6 @@ from mimomrc import specfun
 from mimomrc.errors import ValidationError
 
 
-class TestRegLowerGamma:
-    def test_order_one_is_exponential_cdf(self):
-        for y in [0.0, 0.5, 2.0, 10.0]:
-            assert specfun.reg_lower_gamma(1, y) == pytest.approx(1.0 - math.exp(-y), abs=1e-15)
-
-    def test_zero_argument(self):
-        for l in range(1, 9):
-            assert specfun.reg_lower_gamma(l, 0.0) == 0.0
-
-    def test_known_value(self):
-        # 1 - 2/e, from the two-term sum at y = 1
-        assert specfun.reg_lower_gamma(2, 1.0) == pytest.approx(0.26424111765711535, rel=1e-14)
-
-    def test_monotone_in_y(self):
-        grid = np.linspace(0.0, 50.0, 1000)
-        for l in range(1, 9):
-            values = [specfun.reg_lower_gamma(l, y) for y in grid]
-            assert all(b >= a for a, b in zip(values, values[1:]))
-
-    def test_saturates_to_one(self):
-        for l in range(1, 9):
-            assert specfun.reg_lower_gamma(l, 100.0 * l) == pytest.approx(1.0, abs=1e-10)
-
-    def test_range(self):
-        for l in [1, 3, 6]:
-            for y in np.linspace(0.0, 30.0, 100):
-                assert 0.0 <= specfun.reg_lower_gamma(l, y) <= 1.0
-
-    def test_rejects_bad_order(self):
-        with pytest.raises(ValidationError):
-            specfun.reg_lower_gamma(0, 1.0)
-
-    def test_rejects_negative_argument(self):
-        with pytest.raises(ValidationError):
-            specfun.reg_lower_gamma(2, -0.1)
-
-
 class TestMultivariateGammaNorm:
     def test_small_values(self):
         assert specfun.multivariate_gamma_norm(1, 1) == 1
