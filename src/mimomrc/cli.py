@@ -105,17 +105,29 @@ def _modulation(parser: argparse.ArgumentParser, args) -> performance.Modulation
     return performance.modulation_preset(args.mod)
 
 
-def _mc_config(args) -> montecarlo.McConfig:
-    return montecarlo.McConfig(
+def _with_mc(args, model, header, rows, points, estimate):
+    """Append the Monte-Carlo estimate and its standard error to each row.
+
+    One set of channel draws, from the matrices the model was built on,
+    serves every sweep point (common random numbers); the per-point
+    standard error is still exact. ``estimate(samples, point)`` gives the
+    :class:`~mimomrc.montecarlo.McResult` of one row.
+    """
+    if not args.with_mc:
+        return header, rows
+    cfg = montecarlo.McConfig(
         n_rx=args.nr,
         n_tx=args.nt,
-        rho_rx=args.rho_rx or 0.0,
-        rho_tx=args.rho_tx or 0.0,
-        rx_corr=correlation.load_matrix_csv(args.corr_rx_file) if args.corr_rx_file else None,
-        tx_corr=correlation.load_matrix_csv(args.corr_tx_file) if args.corr_tx_file else None,
+        rx_corr=model.pair.rx_corr,
+        tx_corr=model.pair.tx_corr,
         trials=args.trials,
         seed=args.seed,
     )
+    lam = montecarlo.simulate_lambda_max(cfg)
+    results = [estimate(lam, point) for point in points]
+    return header + ["mc", "mc_stderr"], [
+        row + (r.estimate, r.std_error) for row, r in zip(rows, results)
+    ]
 
 
 def _fmt(value: float) -> str:
@@ -151,25 +163,19 @@ def _cmd_ser(parser, args) -> int:
     model = _build_model(parser, args)
     mod = _modulation(parser, args)
     hs = performance.high_snr_ser(model, mod)
+    snrs_db = args.sweep.values()
     rows = [
         (
             snr_db,
             performance.exact_ser(model, mod, snr_db),
             performance.ser_asymptote_eval(hs, snr_db),
         )
-        for snr_db in args.sweep.values()
+        for snr_db in snrs_db
     ]
-    header = ["snr_db", "exact", "asymptote"]
-    if args.with_mc:
-        # One set of channel draws serves every sweep point (common random
-        # numbers); the per-point standard error is still exact.
-        lam = montecarlo.simulate_lambda_max(_mc_config(args))
-        header += ["mc", "mc_stderr"]
-        full = []
-        for row in rows:
-            r = montecarlo.ser_estimate(lam, mod, row[0])
-            full.append(row + (r.estimate, r.std_error))
-        rows = full
+    header, rows = _with_mc(
+        args, model, ["snr_db", "exact", "asymptote"], rows, snrs_db,
+        lambda lam, snr_db: montecarlo.ser_estimate(lam, mod, snr_db),
+    )
     _emit(args, header, rows)
     return 0
 
@@ -184,15 +190,10 @@ def _cmd_outage(parser, args) -> int:
             gammas_db, gammas, performance.exact_outage(model, args.snr_db, gammas)
         )
     ]
-    header = ["gamma_th_db", "exact", "asymptotic"]
-    if args.with_mc:
-        lam = montecarlo.simulate_lambda_max(_mc_config(args))
-        header += ["mc", "mc_stderr"]
-        full = []
-        for row, gamma_th in zip(rows, gammas):
-            r = montecarlo.outage_estimate(lam, args.snr_db, gamma_th)
-            full.append(row + (r.estimate, r.std_error))
-        rows = full
+    header, rows = _with_mc(
+        args, model, ["gamma_th_db", "exact", "asymptotic"], rows, gammas,
+        lambda lam, gamma_th: montecarlo.outage_estimate(lam, args.snr_db, gamma_th),
+    )
     _emit(args, header, rows)
     return 0
 

@@ -53,15 +53,31 @@ class CorrelationPair:
     major_eigs: np.ndarray
 
 
-def _validate_correlation(mat: np.ndarray, label: str) -> np.ndarray:
+def correlation_eigenvalues(mat, label: str) -> np.ndarray:
+    """Ascending eigenvalues of a correlation matrix, after checking it.
+
+    This is the one definition of a valid correlation matrix, shared by
+    :func:`make_pair` and the Monte-Carlo simulator: finite, square,
+    Hermitian and unit-diagonal within ``_INPUT_TOL`` entrywise, and
+    positive-definite. Otherwise ``ValidationError`` is raised, naming
+    ``label`` (the side). The eigenvalues are ``numpy.linalg.eigvalsh`` of
+    the Hermitian part: ``eigvalsh`` alone reads one triangle, so it would
+    take a non-Hermitian matrix for a different Hermitian one. For an
+    exactly Hermitian matrix the Hermitian part is the matrix itself.
+    """
     m = linalg.as_matrix(mat)
-    if m.shape[0] != m.shape[1]:
-        raise ValidationError(f"{label} correlation matrix must be square, got {m.shape}")
+    if m.shape[0] != m.shape[1] or m.size == 0:
+        raise ValidationError(f"{label} correlation matrix must be square and nonempty, got shape {m.shape}")
     if np.max(np.abs(m - m.conj().T)) > _INPUT_TOL:
         raise ValidationError(f"{label} correlation matrix is not Hermitian (tolerance {_INPUT_TOL:g})")
     if np.max(np.abs(np.diag(m) - 1.0)) > _INPUT_TOL:
         raise ValidationError(f"{label} correlation matrix must have unit diagonal (tolerance {_INPUT_TOL:g})")
-    return 0.5 * (m + m.conj().T)
+    eigs = np.linalg.eigvalsh(0.5 * (m + m.conj().T))
+    if not eigs[0] > 0.0:
+        raise ValidationError(
+            f"{label} correlation matrix is not positive-definite (min eigenvalue {eigs[0]:.3e})"
+        )
+    return eigs
 
 
 def make_pair(rx_corr, tx_corr) -> CorrelationPair:
@@ -70,26 +86,11 @@ def make_pair(rx_corr, tx_corr) -> CorrelationPair:
     The receive matrix takes the minor role when the receive side is the
     smaller (or equal) dimension, otherwise the transmit matrix does.
     """
-    rx = _validate_correlation(rx_corr, "receive")
-    tx = _validate_correlation(tx_corr, "transmit")
-    n_rx, n_tx = rx.shape[0], tx.shape[0]
-    minor_mat, major_mat = (rx, tx) if n_rx <= n_tx else (tx, rx)
-
-    minor_eigs = linalg.herm_eig(minor_mat).eigenvalues
-    major_eigs = linalg.herm_eig(major_mat).eigenvalues
-    if minor_eigs[0] <= 0.0:
-        which = "receive" if n_rx <= n_tx else "transmit"
-        raise ValidationError(
-            f"{which} correlation matrix is not positive-definite "
-            f"(min eigenvalue {minor_eigs[0]:.3e})"
-        )
-    if major_eigs[0] <= 0.0:
-        which = "transmit" if n_rx <= n_tx else "receive"
-        raise ValidationError(
-            f"{which} correlation matrix is not positive-definite "
-            f"(min eigenvalue {major_eigs[0]:.3e})"
-        )
-
+    rx, tx = linalg.as_matrix(rx_corr), linalg.as_matrix(tx_corr)
+    rx_eigs = correlation_eigenvalues(rx, "receive")
+    tx_eigs = correlation_eigenvalues(tx, "transmit")
+    n_rx, n_tx = rx_eigs.size, tx_eigs.size
+    minor_eigs, major_eigs = (rx_eigs, tx_eigs) if n_rx <= n_tx else (tx_eigs, rx_eigs)
     return CorrelationPair(
         rx_corr=rx,
         tx_corr=tx,

@@ -158,10 +158,6 @@ def _spread_clusters(values: np.ndarray, clusters: list[list[int]], delta: float
     return np.sort(out)
 
 
-def _max_cluster(clusters: list[list[int]]) -> int:
-    return max(len(c) for c in clusters)
-
-
 # Spread width by total vanishing order (sum of c(c-1)/2 over tied
 # clusters of both lists). Calibrated against high-precision references:
 # the determinant's rounding noise grows like delta^-order while the
@@ -191,13 +187,9 @@ def _noise_floor(order: int) -> float:
     return float(min(5e-2, 1.3e-4 * 4.0 ** (order - 6)))
 
 
-def _pick_delta(minor_clusters, major_clusters) -> float:
-    """Cluster-spread width balancing cancellation noise against bias."""
-    order = 0
-    for clusters in (minor_clusters, major_clusters):
-        order += sum(len(c) * (len(c) - 1) // 2 for c in clusters)
-    if order == 0:
-        return 0.0
+def _pick_delta(order: int) -> float:
+    """Cluster-spread width balancing cancellation noise against bias, for
+    a total vanishing order of at least 1."""
     if order in _DELTA_BY_ORDER:
         return _DELTA_BY_ORDER[order]
     return float(min(0.1, 3e-2 * 2.0 ** ((order - 6) / 2.0)))
@@ -222,14 +214,13 @@ def build_model(pair: CorrelationPair, degeneracy_tol: float = DEGENERACY_TOL) -
 
     minor_clusters = _cluster(pair.minor_eigs, degeneracy_tol)
     major_clusters = _cluster(pair.major_eigs, degeneracy_tol)
-    degenerate = (
-        _max_cluster(minor_clusters) > 1 or _max_cluster(major_clusters) > 1
-    )
     order = sum(
         len(c) * (len(c) - 1) // 2
         for clusters in (minor_clusters, major_clusters)
         for c in clusters
     )
+    # a cluster of two or more members has order at least 1
+    degenerate = order > 0
     if order > _MAX_GUARD_ORDER:
         raise NumericalError(
             f"tied correlation eigenvalues of total vanishing order {order} exceed "
@@ -240,7 +231,7 @@ def build_model(pair: CorrelationPair, degeneracy_tol: float = DEGENERACY_TOL) -
     if not degenerate:
         sets = (_eval_set(pair.minor_eigs.astype(float), pair.major_eigs.astype(float), 1.0),)
     else:
-        delta = _pick_delta(minor_clusters, major_clusters)
+        delta = _pick_delta(order)
         sets = []
         # Two spread widths, Richardson-combined to cancel the O(delta^2)
         # bias of each single evaluation.

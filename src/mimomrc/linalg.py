@@ -1,27 +1,23 @@
-"""Small dense complex-matrix kernel.
+"""Small dense complex-matrix helpers.
 
-Hermitian eigendecomposition, Hermitian square root, determinants and
-Vandermonde products for the handful-of-antennas matrices used by the
-distribution code. Algorithms are chosen for robustness at tiny sizes,
-not asymptotic speed.
+Input coercion, a checked Hermitian eigendecomposition and square root
+(LAPACK through numpy), a determinant and Vandermonde products for the
+handful-of-antennas matrices used by the library. The correlation
+eigenvalues of the analytic model and of the simulator come from
+``correlation.correlation_eigenvalues``, not from here. The determinant
+is the tests' scalar reference route; nothing in the library calls it.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import NumericalError, ValidationError
+from .errors import ValidationError
 
 # Hermitian-ness is checked entrywise against this absolute tolerance.
 HERMITIAN_ATOL = 1e-12
-
-# Jacobi sweep control: stop once the off-diagonal Frobenius mass falls
-# below this fraction of the diagonal norm.
-_JACOBI_REL_TOL = 1e-14
-_JACOBI_MAX_SWEEPS = 100
 
 
 def as_matrix(a) -> np.ndarray:
@@ -56,63 +52,18 @@ class HermitianEig:
 
 
 def herm_eig(a) -> HermitianEig:
-    """Eigendecomposition of a Hermitian matrix by cyclic Jacobi rotations.
+    """Eigendecomposition of a Hermitian matrix by LAPACK
+    (``numpy.linalg.eigh`` of its Hermitian part).
 
-    Robust and simple for the tiny matrices used here. Raises
-    ``NumericalError`` if the off-diagonal mass has not collapsed after
-    the sweep cap (does not happen for Hermitian input in practice).
+    Refuses a matrix that is not Hermitian within ``HERMITIAN_ATOL``
+    entrywise: ``eigh`` alone reads one triangle, so it would take a
+    non-Hermitian matrix for a different Hermitian one.
     """
     m = as_matrix(a)
     _require_square(m, "herm_eig")
     _require_hermitian(m, "herm_eig")
-    n = m.shape[0]
-    work = 0.5 * (m + m.conj().T)  # exact Hermitian start
-    vecs = np.eye(n, dtype=np.complex128)
-
-    for _ in range(_JACOBI_MAX_SWEEPS):
-        # Off-diagonal Frobenius mass summed directly from the entries;
-        # subtracting diag from total would cancel catastrophically.
-        off = float(np.linalg.norm(work - np.diag(np.diag(work))))
-        diag_norm = float(np.linalg.norm(np.diag(work)))
-        if off <= _JACOBI_REL_TOL * diag_norm:
-            break
-        for p in range(n - 1):
-            for q in range(p + 1, n):
-                apq = work[p, q]
-                r = abs(apq)
-                if r == 0.0:
-                    continue
-                # Unitary rotation annihilating the (p, q) entry: phase of
-                # the pivot makes it real, then a real Jacobi angle.
-                phase = apq / r
-                phi = 0.5 * math.atan2(2.0 * r, work[q, q].real - work[p, p].real)
-                c = math.cos(phi)
-                sig = math.sin(phi) * phase
-                # A <- J† A J  (columns first, then rows)
-                col_p = work[:, p].copy()
-                col_q = work[:, q].copy()
-                work[:, p] = c * col_p - np.conj(sig) * col_q
-                work[:, q] = sig * col_p + c * col_q
-                row_p = work[p, :].copy()
-                row_q = work[q, :].copy()
-                work[p, :] = c * row_p - sig * row_q
-                work[q, :] = np.conj(sig) * row_p + c * row_q
-                work[p, q] = 0.0
-                work[q, p] = 0.0
-                # V <- V J
-                vcol_p = vecs[:, p].copy()
-                vcol_q = vecs[:, q].copy()
-                vecs[:, p] = c * vcol_p - np.conj(sig) * vcol_q
-                vecs[:, q] = sig * vcol_p + c * vcol_q
-        work = 0.5 * (work + work.conj().T)
-    else:
-        raise NumericalError(
-            f"Jacobi eigensolver did not converge in {_JACOBI_MAX_SWEEPS} sweeps"
-        )
-
-    vals = np.diag(work).real.copy()
-    order = np.argsort(vals, kind="stable")
-    return HermitianEig(eigenvalues=vals[order], eigenvectors=vecs[:, order])
+    vals, vecs = np.linalg.eigh(0.5 * (m + m.conj().T))
+    return HermitianEig(eigenvalues=vals, eigenvectors=vecs)
 
 
 def herm_sqrt(a) -> np.ndarray:

@@ -4,16 +4,16 @@ distribution and error-rate formulas.
 A Kronecker channel corr_rx^{1/2} * white * corr_tx^{1/2} has the same
 largest-eigenvalue law as diag(l_rx)^{1/2} * white * diag(l_tx)^{1/2},
 because a white complex Gaussian matrix is unitarily invariant; l_rx and
-l_tx are the eigenvalues of the two correlations, which
-``numpy.linalg.eigvalsh`` supplies (the analytic side uses the in-house
-solver, so the two routes stay independent). The simulator therefore
-draws each entry (i, j) as a complex Gaussian of variance l_rx[i] *
-l_tx[j] and takes the largest eigenvalue of the Gram matrix on the
-smaller side in closed form for up to three antennas there, by
-``eigvalsh`` from four. For three the closed form is the trigonometric
-root of the characteristic cubic; the rows where it would lose accuracy
-(a near-tied top pair, or three nearly equal eigenvalues) are recomputed
-by ``eigvalsh``.
+l_tx are the eigenvalues of the two correlations. They come from
+``correlation.correlation_eigenvalues``, the check the analytic model
+uses too, so the simulator and the model accept exactly the same
+matrices. The simulator therefore draws each entry (i, j) as a complex
+Gaussian of variance l_rx[i] * l_tx[j] and takes the largest eigenvalue
+of the Gram matrix on the smaller side in closed form for up to three
+antennas there, by ``eigvalsh`` from four. For three the closed form is
+the trigonometric root of the characteristic cubic; the rows where it
+would lose accuracy (a near-tied top pair, or three nearly equal
+eigenvalues) are recomputed by ``eigvalsh``.
 
 Trials are partitioned into fixed-size batches, each driven by its own
 jumped Philox stream keyed by (seed, batch index), and batch statistics
@@ -32,7 +32,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import linalg
-from .correlation import CorrelationPair, exp_correlation, make_pair
+from .correlation import CorrelationPair, correlation_eigenvalues, exp_correlation, make_pair
 from .errors import NumericalError, ValidationError
 from .performance import Modulation, snr_from_db
 from .specfun import gauss_q, scipy_special
@@ -75,7 +75,8 @@ class McConfig:
         ):
             if mat is not None and np.asarray(mat).shape != (size, size):
                 raise ValidationError(
-                    f"{label} must be {size}x{size}, got shape {np.asarray(mat).shape}"
+                    f"{label} must be a square {size}x{size} matrix, "
+                    f"got shape {np.asarray(mat).shape}"
                 )
 
 
@@ -103,26 +104,6 @@ def _batch_rng(seed: int, index: int) -> np.random.Generator:
     # Philox is counter based; jumping by the batch index yields
     # non-overlapping streams that do not depend on execution order.
     return np.random.Generator(np.random.Philox(seed).jumped(index))
-
-
-def _corr_eigenvalues(cfg: McConfig) -> tuple[np.ndarray, np.ndarray]:
-    """Ascending eigenvalues of the receive and transmit correlations.
-
-    Raises ``ValidationError`` for a matrix that is not Hermitian (entrywise
-    tolerance ``linalg.HERMITIAN_ATOL``) or not positive-definite.
-    ``eigvalsh`` alone reads one triangle, so it would take a
-    non-Hermitian matrix for a different Hermitian one.
-    """
-    eigs = []
-    for mat, label in zip(corr_matrices(cfg), ("rx_corr", "tx_corr")):
-        linalg._require_hermitian(mat, label)
-        values = np.linalg.eigvalsh(mat)
-        if not values[0] > 0.0:
-            raise ValidationError(
-                f"{label} must be positive-definite (min eigenvalue {values[0]:.3e})"
-            )
-        eigs.append(values)
-    return eigs[0], eigs[1]
 
 
 def _draw_white(
@@ -286,7 +267,10 @@ def simulate_lambda_max(cfg: McConfig, workers: int = 1) -> np.ndarray:
     """All largest-eigenvalue samples for the config (trials,).
 
     Batch ``i`` holds trials ``i * _BATCH`` onward and is drawn from its
-    own stream, so the samples do not depend on ``workers``.
+    own stream, so the samples do not depend on ``workers``. Raises
+    ``ValidationError`` for a correlation matrix that
+    :func:`~mimomrc.correlation.make_pair` refuses too (see
+    :func:`~mimomrc.correlation.correlation_eigenvalues`).
     """
     if cfg.trials > _BATCH:
         # A sweep of several batches loads scipy.special (for gauss_q)
@@ -296,7 +280,9 @@ def simulate_lambda_max(cfg: McConfig, workers: int = 1) -> np.ndarray:
         # process high-water mark from 101 to 130 MB. One batch is too
         # small for this to matter, and analytic-only use never loads it.
         scipy_special()
-    rx_eigs, tx_eigs = _corr_eigenvalues(cfg)
+    rx, tx = corr_matrices(cfg)
+    rx_eigs = correlation_eigenvalues(rx, "receive")
+    tx_eigs = correlation_eigenvalues(tx, "transmit")
     std = np.sqrt(0.5 * np.outer(rx_eigs, tx_eigs))
     out = np.empty(cfg.trials)
 

@@ -287,32 +287,53 @@ class TestDeterminism:
 
 
 class TestCorrelationChecks:
-    # eigvalsh reads one triangle, so each of these would pass it silently
+    """The simulator and the analytic model refuse the same matrices, with
+    the same keyword in the message, through
+    correlation.correlation_eigenvalues."""
+
+    # eigvalsh reads one triangle, so each of the first two would pass it silently
     NON_HERMITIAN = np.array([[1.0, 0.5], [0.1, 1.0]])
     SYMMETRIC_COMPLEX = np.array([[1.0, 0.5j], [0.5j, 1.0]])
     INDEFINITE = np.array([[1.0, 1.2], [1.2, 1.0]])
+    NON_UNIT_DIAGONAL = np.array([[1.1, 0.0], [0.0, 1.0]])
+    NON_SQUARE = np.array([[1.0, 0.0, 0.0], [0.0, 1.0, 0.0]])
+    EMPTY = np.zeros((0, 0))
+    NON_FINITE = np.array([[1.0, np.nan], [np.nan, 1.0]])
     CASES = [
         (NON_HERMITIAN, "Hermitian"),
         (SYMMETRIC_COMPLEX, "Hermitian"),
         (INDEFINITE, "positive-definite"),
+        (NON_UNIT_DIAGONAL, "unit diagonal"),
+        (NON_SQUARE, "square"),
+        (EMPTY, "square"),
+        (NON_FINITE, "finite"),
     ]
 
     @pytest.mark.parametrize("side", ["rx_corr", "tx_corr"])
     @pytest.mark.parametrize("mat, match", CASES)
     def test_refused_by_every_entry_point(self, side, mat, match):
-        cfg = montecarlo.McConfig(n_rx=2, n_tx=2, trials=10, seed=0, **{side: mat})
+        other = np.eye(2)
+        with pytest.raises(ValidationError, match=match):
+            correlation.make_pair(*((mat, other) if side == "rx_corr" else (other, mat)))
+
+        def cfg():
+            # a non-square matrix is refused by the config itself
+            return montecarlo.McConfig(n_rx=2, n_tx=2, trials=10, seed=0, **{side: mat})
+
         mod = performance.modulation_preset("bpsk")
-        with pytest.raises(ValidationError, match=match):
-            montecarlo.simulate_lambda_max(cfg)
-        with pytest.raises(ValidationError, match=match):
-            montecarlo.mc_ser(cfg, mod, 10.0)
-        with pytest.raises(ValidationError, match=match):
-            montecarlo.mc_outage(cfg, 0.0, 1.0)
-        with pytest.raises(ValidationError, match=match):
-            montecarlo.empirical_cdf(cfg, np.array([1.0]))
+        for call in (
+            lambda: montecarlo.simulate_lambda_max(cfg()),
+            lambda: montecarlo.mc_ser(cfg(), mod, 10.0),
+            lambda: montecarlo.mc_outage(cfg(), 0.0, 1.0),
+            lambda: montecarlo.empirical_cdf(cfg(), np.array([1.0])),
+        ):
+            with pytest.raises(ValidationError, match=match):
+                call()
 
     def test_rounding_within_tolerance_accepted(self):
-        mat = np.array([[1.0, 0.5 + 0.5 * linalg.HERMITIAN_ATOL], [0.5, 1.0]])
+        tol = correlation._INPUT_TOL
+        mat = np.array([[1.0 + 0.5 * tol, 0.5 + 0.5 * tol], [0.5, 1.0]])
+        correlation.make_pair(mat, np.eye(2))
         cfg = montecarlo.McConfig(n_rx=2, n_tx=2, rx_corr=mat, trials=10, seed=0)
         assert montecarlo.simulate_lambda_max(cfg).shape == (10,)
 

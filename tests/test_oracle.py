@@ -1,6 +1,7 @@
-"""Independent references for the array c.d.f. evaluator: a 50-digit
-mpmath evaluation of the determinant form, the scalar psi-matrix +
-``linalg.det`` route the evaluator replaced, and batch independence."""
+"""Independent references: 50-digit mpmath eigenvalues of the correlation
+matrices, and for the array c.d.f. evaluator a 50-digit mpmath evaluation
+of the determinant form, the scalar psi-matrix + ``linalg.det`` route the
+evaluator replaced, and batch independence."""
 
 import math
 
@@ -126,6 +127,59 @@ def mp_cdf_raw(model, x, dps=50):
             )
             value += mp.mpf(s.weight) * common * mp.det(psi) / (vand * x**half_exp)
         return float(value)
+
+
+# --- correlation eigenvalues ------------------------------------------------
+
+
+def mp_eigenvalues(mat, dps=50):
+    """Ascending eigenvalues of a Hermitian matrix in ``dps``-digit
+    arithmetic (mpmath's own Hermitian QR iteration)."""
+    with mp.workdps(dps):
+        a = mp.matrix([[mp.mpc(complex(z).real, complex(z).imag) for z in row] for row in mat])
+        values, _ = mp.eighe(a)
+        return np.array(sorted(float(mp.re(v)) for v in values))
+
+
+TIED_RX = np.array([[1.0, 0.5, 0.0], [0.5, 1.0, 0.0], [0.0, 0.0, 1.0]])
+COMPLEX_RX = np.array([[1.0, 0.4 + 0.3j, 0.1 - 0.25j],
+                       [0.4 - 0.3j, 1.0, 0.5j],
+                       [0.1 + 0.25j, -0.5j, 1.0]])
+COMPLEX_TX = np.array([[1.0, 0.7 - 0.5j], [0.7 + 0.5j, 1.0]])
+# (rx, tx): exponential matrices on both sides, the complex pair of the
+# simulator tests, and the 3x3 user matrix of the eigdist tie test
+EIG_PAIRS = [
+    (correlation.exp_correlation(rho, n), correlation.exp_correlation(rho, n))
+    for rho in (0.0, 0.5, 0.9, 0.99)
+    for n in range(1, 5)
+] + [(COMPLEX_RX, COMPLEX_TX), (TIED_RX, np.eye(2))]
+
+
+class TestCorrelationEigenvalues:
+    @pytest.mark.parametrize("rx, tx", EIG_PAIRS)
+    def test_make_pair_matches_50_digits(self, rx, tx):
+        # LAPACK is backward stable: each eigenvalue is within a few eps of
+        # the matrix norm (the largest eigenvalue), not of itself; at
+        # rho 0.99, 4x4 the smallest is off by 3.7e-14 of its own size
+        pair = correlation.make_pair(rx, tx)
+        minor, major = (rx, tx) if len(rx) <= len(tx) else (tx, rx)
+        for got, mat in ((pair.minor_eigs, minor), (pair.major_eigs, major)):
+            want = mp_eigenvalues(mat)
+            assert np.max(np.abs(got - want)) <= 1e-14 * want[-1], (mat, got - want)
+
+    @pytest.mark.parametrize("rx, tx", EIG_PAIRS)
+    def test_ties_and_guard_order_kept(self, rx, tx):
+        # the clusters of the 50-digit eigenvalues fix the degenerate flag
+        # and the guard order (through its noise floor)
+        model = eigdist.build_model(correlation.make_pair(rx, tx))
+        minor, major = (rx, tx) if len(rx) <= len(tx) else (tx, rx)
+        order = sum(
+            len(c) * (len(c) - 1) // 2
+            for mat in (minor, major)
+            for c in eigdist._cluster(mp_eigenvalues(mat), eigdist.DEGENERACY_TOL)
+        )
+        assert model.degenerate == (order > 0)
+        assert model.noise_floor == eigdist._noise_floor(order)
 
 
 class TestMpmathOracle:
