@@ -413,7 +413,10 @@ def _find_crossover(model: EigDistModel) -> float:
     steps = int(math.ceil(_SCAN_DECADES / -math.log10(_SCAN_STEP)))
     grid = _geometric(x_top, _SCAN_STEP, steps + 1)
     lead = model.alpha * _ipow(grid, mn)
-    hits = np.flatnonzero(np.abs(_cdf_raw(model, grid) / lead - 1.0) > _CROSSOVER_REL)
+    # lead underflows to 0 at the bottom of the scan for large mn; the
+    # NaN ratios there are never hits
+    with np.errstate(divide="ignore", invalid="ignore"):
+        hits = np.flatnonzero(np.abs(_cdf_raw(model, grid) / lead - 1.0) > _CROSSOVER_REL)
     if hits.size:
         return float(grid[hits[0]])
     return x_top * 10.0 ** (-_SCAN_DECADES)

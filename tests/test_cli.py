@@ -3,7 +3,11 @@
 import csv
 import io
 import math
+import os
+import subprocess
+import sys
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -164,6 +168,18 @@ class TestSummaryCommand:
             assert code == 0
             entries = dict(line.split("=") for line in out.strip().splitlines())
             assert int(entries["diversity_order"]) == nr * nt
+
+    def test_large_model_writes_nothing_to_stderr(self):
+        # as a user runs it: numpy's warnings would reach stderr
+        env = {**os.environ, "PYTHONPATH": str(Path(cli.__file__).parents[1])}
+        result = subprocess.run(
+            [sys.executable, "-m", "mimomrc.cli", "summary", "--nr", "5", "--nt", "5",
+             "--rho-rx", "0.5", "--rho-tx", "0.5"],
+            capture_output=True, text=True, env=env, timeout=120,
+        )
+        assert result.returncode == 0
+        assert result.stderr == ""
+        assert "diversity_order=25" in result.stdout
 
 
 class TestFormats:

@@ -1,7 +1,9 @@
 """Distribution tests: closed-form collapses, leading-coefficient
 identities, guard behavior, monotonicity, and Monte-Carlo agreement."""
 
+import itertools
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -302,6 +304,27 @@ class TestDegeneracyGuard:
         pair = correlation.make_pair(np.eye(5), np.eye(5))
         with pytest.raises(NumericalError, match="vanishing order"):
             eigdist.build_model(pair)
+
+    def test_accepted_models_build_without_warnings(self):
+        # the crossover scan divides by a leading term that underflows to
+        # 0 at the bottom of the scan for large antenna products
+        rhos = (0.0, 0.3, 0.5, 0.9, 0.99)
+        built = 0
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            for n_rx, n_tx, rho_rx, rho_tx in itertools.product(
+                range(1, 6), range(1, 6), rhos, rhos
+            ):
+                pair = correlation.make_pair(
+                    correlation.exp_correlation(rho_rx, n_rx),
+                    correlation.exp_correlation(rho_tx, n_tx),
+                )
+                try:
+                    eigdist.build_model(pair)
+                except NumericalError:
+                    continue
+                built += 1
+        assert built > 500
 
     def test_four_by_four_identity_supported(self):
         model = eigdist.build_model(correlation.make_pair(np.eye(4), np.eye(4)))

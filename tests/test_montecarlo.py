@@ -3,11 +3,12 @@ the eigenbasis draw against the full-matrix one."""
 
 import math
 import sys
+import tracemalloc
 
 import numpy as np
 import pytest
 
-from mimomrc import cli, correlation, linalg, montecarlo, performance
+from mimomrc import cli, correlation, linalg, montecarlo, performance, specfun
 from mimomrc.errors import NumericalError, ValidationError
 
 
@@ -279,11 +280,75 @@ class TestDeterminism:
             sys.setswitchinterval(1e-6)
             try:
                 threaded = montecarlo.mc_ser(cfg, mod, 8.0, workers=4)
-                threaded_samples = montecarlo.simulate_lambda_max(cfg, workers=3)
+                threaded_samples = [
+                    montecarlo.simulate_lambda_max(cfg, workers=workers) for workers in (3, None)
+                ]
             finally:
                 sys.setswitchinterval(interval)
             assert (serial.estimate, serial.std_error) == (threaded.estimate, threaded.std_error)
-            np.testing.assert_array_equal(serial_samples, threaded_samples)
+            for samples in threaded_samples:
+                np.testing.assert_array_equal(serial_samples, samples)
+
+
+class TestWorkers:
+    BATCH = montecarlo._BATCH
+    BLOCK = montecarlo._BLOCK
+
+    @pytest.mark.parametrize("workers", [0, -3, 2.5, "2", True, False])
+    def test_bad_worker_count_refused(self, workers):
+        cfg = montecarlo.McConfig(n_rx=2, n_tx=2, trials=10, seed=0)
+        mod = performance.modulation_preset("bpsk")
+        for call in (
+            lambda: montecarlo.simulate_lambda_max(cfg, workers=workers),
+            lambda: montecarlo.mc_ser(cfg, mod, 10.0, workers=workers),
+            lambda: montecarlo.mc_outage(cfg, 0.0, 1.0, workers=workers),
+            lambda: montecarlo.empirical_cdf(cfg, np.array([1.0]), workers=workers),
+        ):
+            with pytest.raises(ValidationError, match="workers"):
+                call()
+
+    @pytest.mark.parametrize("n_rx, n_tx", [
+        (1, 4), (4, 1), (2, 3), (3, 2), (3, 3), (3, 4), (4, 3), (4, 4),
+    ])
+    def test_pooled_blocks_equal_the_reference_draw(self, n_rx, n_tx):
+        # the reference draws each batch whole with _draw_white, real
+        # block then imaginary block; the pooled, block-wise draw must give
+        # every sample the same bits at any worker count
+        for trials in (1, self.BLOCK - 1, self.BLOCK + 1, 70_001, 150_001):
+            cfg = montecarlo.McConfig(
+                n_rx=n_rx, n_tx=n_tx, rho_rx=0.5, rho_tx=0.3, trials=trials, seed=1799
+            )
+            rx, tx = montecarlo.corr_matrices(cfg)
+            std = np.sqrt(0.5 * np.outer(
+                correlation.correlation_eigenvalues(rx, "receive"),
+                correlation.correlation_eigenvalues(tx, "transmit"),
+            ))
+            want = []
+            for index, start in enumerate(range(0, trials, self.BATCH)):
+                count = min(self.BATCH, trials - start)
+                rng = montecarlo._batch_rng(cfg.seed, index)
+                h = montecarlo._draw_white(rng, count, n_rx, n_tx, std)
+                want.append(montecarlo.lambda_max(h))
+            want = np.concatenate(want)
+            for workers in (1, 2, 3, None):
+                got = montecarlo.simulate_lambda_max(cfg, workers=workers)
+                assert got.tobytes() == want.tobytes(), (trials, workers)
+
+    def test_memory_bounded_by_the_buffers(self):
+        # Beyond the output, each worker holds one batch's real normals
+        # and _BLOCK rows of imaginary normals, channels and lambda_max
+        # temporaries, together less than two batches' real normals.
+        cfg = montecarlo.McConfig(n_rx=3, n_tx=3, rho_rx=0.5, trials=1 << 20, seed=3)
+        workers = 2
+        plane = 8 * self.BATCH * cfg.n_rx * cfg.n_tx
+        specfun.scipy_special()  # a first multi-batch call imports it
+        tracemalloc.start()
+        try:
+            montecarlo.simulate_lambda_max(cfg, workers=workers)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 8 * cfg.trials + 2 * workers * plane, peak / plane
 
 
 class TestCorrelationChecks:
