@@ -164,13 +164,12 @@ def _cmd_ser(parser, args) -> int:
     mod = _modulation(parser, args)
     hs = performance.high_snr_ser(model, mod)
     snrs_db = args.sweep.values()
+    # one quadrature for the whole sweep; a plain list, because the
+    # benchmark's tracer records this argument as JSON
+    exact = performance.exact_ser(model, mod, snrs_db.tolist())
     rows = [
-        (
-            snr_db,
-            performance.exact_ser(model, mod, snr_db),
-            performance.ser_asymptote_eval(hs, snr_db),
-        )
-        for snr_db in snrs_db
+        (snr_db, value, performance.ser_asymptote_eval(hs, snr_db))
+        for snr_db, value in zip(snrs_db, exact)
     ]
     header, rows = _with_mc(
         args, model, ["snr_db", "exact", "asymptote"], rows, snrs_db,

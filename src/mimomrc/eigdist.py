@@ -277,7 +277,7 @@ def _ipow(x, k: int):
 
 
 @functools.lru_cache(maxsize=None)
-def _series_divisors(m: int) -> np.ndarray:
+def _series_divisors(m: int) -> tuple[float, ...]:
     """m+1, m+2, ...: the divisors k of the term ratios -t/k that the tail
     series keeps on t < m + 1.
 
@@ -289,13 +289,7 @@ def _series_divisors(m: int) -> np.ndarray:
     while term > 1e-19 and k < m + 200:
         k += 1
         term *= (m + 1.0) / k
-    divisors = np.arange(m + 1.0, k + 1.0)
-    divisors.setflags(write=False)  # shared by every caller through the cache
-    return divisors
-
-
-# Series points per block: bounds the (points, terms) work array to a few MB.
-_SERIES_BLOCK = 8192
+    return tuple(float(d) for d in range(m + 1, k + 1))
 
 
 def _exp_tail(t: np.ndarray, m: int) -> np.ndarray:
@@ -325,14 +319,17 @@ def _exp_tail(t: np.ndarray, m: int) -> np.ndarray:
 
 
 def _tail_series(neg: np.ndarray, m: int) -> np.ndarray:
-    """sum_{k>=m} (-t)^k / k! from its power series, given -t."""
-    divisors = _series_divisors(m)
-    sums = np.empty_like(neg)
-    flat_neg, flat_sums = neg.reshape(-1), sums.reshape(-1)
-    for i in range(0, flat_neg.size, _SERIES_BLOCK):
-        block = flat_neg[i : i + _SERIES_BLOCK, None]
-        # terms relative to the leading one: running products of -t/k
-        flat_sums[i : i + _SERIES_BLOCK] = np.cumprod(block / divisors, axis=1).sum(axis=1)
+    """sum_{k>=m} (-t)^k / k! from its power series, given -t.
+
+    The terms after the leading one, relative to it, are nested by Horner's
+    rule from the last divisor inward, so the work is a few elementwise
+    passes per term and no (points, terms) array is formed.
+    """
+    sums = np.zeros_like(neg)
+    for d in reversed(_series_divisors(m)):
+        sums += 1.0
+        sums *= neg
+        sums /= d
     return _ipow(neg, m) / math.factorial(m) * (1.0 + sums)
 
 
@@ -462,6 +459,12 @@ def _find_saturation(model: EigDistModel) -> float:
     return x
 
 
+# Determinant-regime points per evaluator pass: bounds the (points, m, m)
+# work arrays of a large call, such as a whole SER sweep, to a few MB
+# (peak about 4 MB at 4x4).
+_EVAL_BLOCK = 4096
+
+
 def _points(x) -> np.ndarray:
     """Evaluation points as a float array, refusing negative or non-finite ones."""
     xs = np.asarray(x, dtype=float)
@@ -500,9 +503,11 @@ def cdf(model: EigDistModel, x) -> np.ndarray:
     The one evaluator of the distribution: each point takes the regime
     that :func:`exact_cdf_stable` describes (leading-order term below the
     model's crossover, floored determinant form up to its saturation
-    point, exactly 1 beyond), and all determinant-regime points share one
-    stacked determinant per evaluation set. Returns an array of the
-    shape of ``x``.
+    point, exactly 1 beyond). Determinant-regime points are taken
+    ``_EVAL_BLOCK`` at a time, one stacked determinant per evaluation set
+    and block, so the evaluator's working memory does not grow with the
+    array; every point's value depends on that point alone. Returns an
+    array of the shape of ``x``.
     """
     xs = _points(x)
     flat = xs.ravel()
@@ -511,10 +516,11 @@ def cdf(model: EigDistModel, x) -> np.ndarray:
     lead = flat < model.crossover
     if lead.any():
         out[lead] = np.minimum(1.0, model.alpha * _ipow(flat[lead], mn))
-    det = ~lead & (flat < model.saturation)
-    if det.any():
-        floor = min(1.0, model.alpha * _ipow(model.crossover, mn))
-        out[det] = np.maximum(_determinant_cdf(model, flat[det]), floor)
+    det = np.flatnonzero(~lead & (flat < model.saturation))
+    floor = min(1.0, model.alpha * _ipow(model.crossover, mn))
+    for start in range(0, det.size, _EVAL_BLOCK):
+        block = det[start : start + _EVAL_BLOCK]
+        out[block] = np.maximum(_determinant_cdf(model, flat[block]), floor)
     return out.reshape(xs.shape)
 
 

@@ -81,7 +81,7 @@ class TestSerCommand:
         mod = performance.modulation_preset("8psk")
         hs = performance.high_snr_ser(model, mod)
         for row in rows:
-            assert row[1] == pytest.approx(performance.exact_ser(model, mod, row[0]), rel=1e-9)
+            assert row[1] == performance.exact_ser(model, mod, row[0])
             assert row[2] == pytest.approx(performance.ser_asymptote_eval(hs, row[0]), rel=1e-12)
 
     def test_mc_columns(self, capsys):

@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 
 from mimomrc import correlation, eigdist, linalg
+from mimomrc.errors import NumericalError
 from mimomrc.specfun import multivariate_gamma_norm
 
 mp = pytest.importorskip("mpmath").mp
@@ -210,6 +211,25 @@ class TestMpmathOracle:
         assert checked >= 200
         assert worst <= 1e-8, worst
 
+    @pytest.mark.xfail(
+        strict=True, raises=AssertionError,
+        reason="accepted untied model whose determinant form is off by up to 9e-5 "
+        "below saturation: ROADMAP item 1",
+    )
+    def test_strongly_correlated_2x5_matches_or_is_refused(self):
+        # 2x5 at rho_rx 0.99, rho_tx 0.3 builds with a clean noise floor
+        # (1e-13), but its c.d.f. dips below saturation and leaves [0, 1] by
+        # 7e-5 at x = 31.1 (where a SER sweep then fails). Either the model
+        # is refused when it is built, or it meets the untied tolerance.
+        try:
+            model = model_for(2, 5, 0.99, 0.3)
+        except NumericalError:
+            return
+        for x in (8.48, 20.0):
+            got = eigdist.exact_cdf_stable(model, x)
+            want = mp_cdf_raw(model, x)
+            assert abs(got / want - 1.0) <= 1e-8, (x, got, want)
+
     def test_oracle_reproduces_closed_forms(self):
         # the reference itself: SISO exponential and 1x3 Erlang
         for n_tx, cdf in [
@@ -290,6 +310,17 @@ class TestBatchIndependence:
             assert np.all((values >= 0.0) & (values <= 1.0))
 
         check()
+
+    def test_blocks_are_invisible(self):
+        # determinant-regime points in a shuffled order, around and past
+        # whole evaluator blocks, against one call per point
+        model = model_for(2, 3, 0.5, 0.5)
+        block = eigdist._EVAL_BLOCK
+        xs = np.geomspace(model.crossover, model.saturation, 3 * block + 8)[:-1]
+        xs = np.random.default_rng(7).permutation(xs)
+        points = np.array([eigdist.cdf(model, x) for x in xs])
+        for count in (block - 1, block, block + 1, 3 * block + 7):
+            assert np.array_equal(eigdist.cdf(model, xs[:count]), points[:count]), count
 
     def test_shape_is_kept(self):
         model = model_for(*self.MODELS[0])

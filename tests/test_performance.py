@@ -2,6 +2,7 @@
 correlation penalties, Monte-Carlo agreement."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -85,6 +86,80 @@ class TestExactSer:
             mc = montecarlo.mc_ser(cfg, mod, snr_db)
             exact = performance.exact_ser(model, mod, snr_db)
             assert abs(exact - mc.estimate) <= 3.0 * mc.std_error
+
+
+class TestSerSweep:
+    """exact_ser over an array of SNRs: one quadrature, scalar-call values."""
+
+    CASES = [
+        # 2x3 untied; 4x4 identity, fully tied (two evaluation sets); SISO
+        ((0.5, 2, 0.5, 3), "8psk", np.linspace(0.0, 40.0, 41)),
+        ((0.0, 4, 0.0, 4), "qpsk", np.linspace(0.0, 30.0, 16)),
+        ((0.0, 1, 0.0, 1), "bpsk", np.linspace(-5.0, 30.0, 8)),
+    ]
+
+    @pytest.mark.parametrize("args, mod, snrs", CASES)
+    def test_sweep_equals_its_points_bit_for_bit(self, args, mod, snrs):
+        model = model_for(*args)
+        mod = performance.modulation_preset(mod)
+        sweep = performance.exact_ser(model, mod, snrs)
+        assert sweep.shape == snrs.shape
+        for i, snr_db in enumerate(snrs.tolist()):
+            assert sweep[i] == performance.exact_ser(model, mod, snr_db), snr_db
+
+    def test_tied_case_has_two_evaluation_sets(self):
+        assert len(model_for(*self.CASES[1][0]).eval_sets) == 2
+
+    def test_shapes(self):
+        model = model_for(0.5, 2, 0.5, 2)
+        mod = performance.modulation_preset("qpsk")
+        for scalar in (10.0, np.float64(10.0), np.array(10.0)):
+            assert type(performance.exact_ser(model, mod, scalar)) is float
+        grid = np.array([[0.0, 5.0, 10.0], [15.0, 20.0, 25.0]])
+        values = performance.exact_ser(model, mod, grid)
+        assert values.shape == (2, 3)
+        assert np.array_equal(values.ravel(), performance.exact_ser(model, mod, grid.ravel()))
+        assert np.array_equal(values[0], performance.exact_ser(model, mod, [0.0, 5.0, 10.0]))
+        empty = performance.exact_ser(model, mod, np.array([]))
+        assert isinstance(empty, np.ndarray) and empty.shape == (0,)
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_refused_before_any_evaluation(self, monkeypatch, bad):
+        model = model_for(0.5, 2, 0.5, 2)
+        mod = performance.modulation_preset("8psk")
+        calls = []
+
+        def counting_cdf(*args):
+            calls.append(1)
+            return eigdist.cdf(*args)
+
+        monkeypatch.setattr(performance, "cdf", counting_cdf)
+        for snr_db in (bad, [0.0, 10.0, bad, 20.0], np.array([[5.0], [bad]])):
+            with pytest.raises(ValidationError):
+                performance.exact_ser(model, mod, snr_db)
+        assert calls == []
+        performance.exact_ser(model, mod, [0.0, 10.0])
+        assert calls  # the counter sees the evaluator calls
+
+    def test_memory_does_not_follow_the_evaluator_work(self):
+        # Beyond its first pass's node arrays (32 panels x 31 nodes per SNR),
+        # which a sweep holds a few of, the evaluator works in blocks of
+        # eigdist._EVAL_BLOCK points, whatever the sweep's size. So the extra
+        # peak of 401 SNRs over 41 stays below six node arrays per extra SNR;
+        # evaluating all points at once instead costs about 25.
+        model = model_for(0.5, 2, 0.5, 3)
+        mod = performance.modulation_preset("8psk")
+        performance.exact_ser(model, mod, 10.0)
+        peaks = {}
+        for count in (41, 401):
+            tracemalloc.start()
+            try:
+                performance.exact_ser(model, mod, np.linspace(0.0, 40.0, count))
+                peaks[count] = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+        node_array = 32 * 31 * 8
+        assert peaks[401] - peaks[41] <= 6 * node_array * (401 - 41), peaks
 
 
 class TestHighSnr:
