@@ -24,6 +24,7 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass
+from fractions import Fraction
 
 import numpy as np
 
@@ -277,9 +278,10 @@ def _ipow(x, k: int):
 
 
 @functools.lru_cache(maxsize=None)
-def _series_divisors(m: int) -> tuple[float, ...]:
-    """m+1, m+2, ...: the divisors k of the term ratios -t/k that the tail
-    series keeps on t < m + 1.
+def _series_coefficients(m: int) -> tuple[float, ...]:
+    """c_j = 1/((m+1)(m+2)...(m+j)) for j = 0, 1, ...: the coefficients of
+    the powers of -t that the tail series keeps on t < m + 1, each
+    correctly rounded.
 
     The series is cut once a term falls below 1e-19 of the leading term at
     the switch point t = m + 1, its largest argument; the sum there is at
@@ -289,7 +291,11 @@ def _series_divisors(m: int) -> tuple[float, ...]:
     while term > 1e-19 and k < m + 200:
         k += 1
         term *= (m + 1.0) / k
-    return tuple(float(d) for d in range(m + 1, k + 1))
+    coefficients, prod = [1.0], 1
+    for d in range(m + 1, k + 1):
+        prod *= d
+        coefficients.append(float(Fraction(1, prod)))
+    return tuple(coefficients)
 
 
 def _exp_tail(t: np.ndarray, m: int) -> np.ndarray:
@@ -321,16 +327,18 @@ def _exp_tail(t: np.ndarray, m: int) -> np.ndarray:
 def _tail_series(neg: np.ndarray, m: int) -> np.ndarray:
     """sum_{k>=m} (-t)^k / k! from its power series, given -t.
 
-    The terms after the leading one, relative to it, are nested by Horner's
-    rule from the last divisor inward, so the work is a few elementwise
-    passes per term and no (points, terms) array is formed.
+    The series is (-t)^m / m! times a polynomial in -t with the
+    precomputed coefficients of :func:`_series_coefficients`, evaluated by
+    Horner's rule: a multiply and an add per term, no division, and no
+    (points, terms) array.
     """
-    sums = np.zeros_like(neg)
-    for d in reversed(_series_divisors(m)):
-        sums += 1.0
+    coefficients = _series_coefficients(m)
+    sums = coefficients[-1] * neg
+    for c in coefficients[-2:0:-1]:  # c_{K-1} down to c_1
+        sums += c
         sums *= neg
-        sums /= d
-    return _ipow(neg, m) / math.factorial(m) * (1.0 + sums)
+    sums += coefficients[0]
+    return _ipow(neg, m) / math.factorial(m) * sums
 
 
 def _psi_stack(minor, major, xs: np.ndarray) -> np.ndarray:
@@ -388,6 +396,13 @@ def _geometric(start: float, ratio: float, count: int) -> np.ndarray:
     return np.array(out)
 
 
+def _scan_top(model: EigDistModel) -> float:
+    """Where the leading term equals _SCAN_TOP_CDF: the top of the crossover
+    scan, which only moves down from it, and the start of the saturation
+    scan."""
+    return (_SCAN_TOP_CDF / model.alpha) ** (1.0 / (model.n_min * model.n_max))
+
+
 def _find_crossover(model: EigDistModel) -> float:
     """Largest argument below which the leading-order term replaces the
     determinant form.
@@ -406,7 +421,7 @@ def _find_crossover(model: EigDistModel) -> float:
     The whole scan grid is evaluated in one call.
     """
     mn = model.n_min * model.n_max
-    x_top = (_SCAN_TOP_CDF / model.alpha) ** (1.0 / mn)
+    x_top = _scan_top(model)
     steps = int(math.ceil(_SCAN_DECADES / -math.log10(_SCAN_STEP)))
     grid = _geometric(x_top, _SCAN_STEP, steps + 1)
     lead = model.alpha * _ipow(grid, mn)
@@ -441,7 +456,7 @@ def _find_saturation(model: EigDistModel) -> float:
     """
     theta = _saturation_theta(model.n_min * model.n_max)
     slack = _range_slack(model)
-    x = max(model.crossover, (_SCAN_TOP_CDF / model.alpha) ** (1.0 / (model.n_min * model.n_max)))
+    x = _scan_top(model)
     high_water = -math.inf
     for _ in range(_SAT_MAX_STEPS // _SAT_CHUNK):
         grid = _geometric(x, _SAT_STEP, _SAT_CHUNK)

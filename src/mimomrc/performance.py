@@ -29,6 +29,18 @@ _GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(31)
 _MAX_BISECTIONS = 40
 _MAX_BLOCKS = 400
 
+# Intervals that may descend from one starting interval at one bisection
+# level. Integrands that converge need a few (4 as a rule, 1,508 at most
+# on the 1-4 x 1-4 antenna grid); one whose noise sits above its floor
+# keeps doubling them until memory runs out, and is refused here instead.
+_MAX_FANOUT = 4096
+
+# The SER quadrature sizes its tolerance from single-panel estimates of the
+# first blocks: _SIZING_ROUND more blocks per round for each SNR whose
+# stop rule has not fired, up to _SIZING_PANELS blocks.
+_SIZING_ROUND = 8
+_SIZING_PANELS = 32
+
 
 @dataclass(frozen=True)
 class Modulation:
@@ -95,11 +107,16 @@ def _adaptive(f, lo, hi, whole, tol, floor, noise_rate, depth, *args) -> np.ndar
     split. A whole bisection level (both halves of every open interval)
     goes to f in one call. Each interval's value is summed in the order
     the depth-first recursion would sum it; the first interval (left to
-    right) still open after ``depth`` levels raises ``QuadratureError``.
+    right) still open after ``depth`` levels raises ``QuadratureError``, as
+    does a starting interval with more than ``_MAX_FANOUT`` descendants at
+    one level, the sign of an integrand whose noise no split can shrink.
     """
     lo, hi, whole, tol, floor, *args = np.broadcast_arrays(
         *(np.atleast_1d(np.asarray(a, dtype=float)) for a in (lo, hi, whole, tol, floor, *args))
     )
+    # each interval's starting interval, and the accepted value of each
+    origin = np.arange(lo.size)
+    banked = np.zeros(lo.size)
     levels = []
     while True:
         mid = 0.5 * (lo + hi)
@@ -129,11 +146,22 @@ def _adaptive(f, lo, hi, whole, tol, floor, noise_rate, depth, *args) -> np.ndar
             )
         depth -= 1
         split = ~done
+        banked += np.bincount(origin[done], sums[done], banked.size)
+        fanout = 2 * np.bincount(origin[split], minlength=banked.size)
+        if fanout.max() > _MAX_FANOUT:
+            o = np.flatnonzero(fanout > _MAX_FANOUT)[0]
+            mine = split & (origin == o)
+            raise QuadratureError(
+                f"quadrature failed to converge: more than {_MAX_FANOUT} intervals "
+                f"of one block, on [{lo[mine][0]:g}, {hi[mine][-1]:g}]",
+                estimate=float(banked[o] + sums[mine].sum()),
+                error_bound=float(err[mine].sum()),
+            )
         lo = np.stack([lo[split], mid[split]], axis=-1).ravel()
         hi = np.stack([mid[split], hi[split]], axis=-1).ravel()
         whole = halves[split].ravel()
         tol = np.repeat(0.5 * tol[split], 2)
-        floor, *args = (np.repeat(a[split], 2) for a in (floor, *args))
+        floor, origin, *args = (np.repeat(a[split], 2) for a in (floor, origin, *args))
     values = levels[-1][1]
     for done, sums in reversed(levels[:-1]):
         values, children = sums.copy(), values
@@ -141,31 +169,64 @@ def _adaptive(f, lo, hi, whole, tol, floor, noise_rate, depth, *args) -> np.ndar
     return values
 
 
-def _integrate_blocks(f, b: float, wholes: np.ndarray, tol: np.ndarray, floor: np.ndarray,
-                      noise_rate: float, gbar: np.ndarray) -> np.ndarray:
+def _size_blocks(f, b: float, gbar: np.ndarray):
+    """Single-panel estimates of the first blocks of f(v, gbar), for each
+    gbar of a 1-D array, as many as its stop rule needs.
+
+    The blocks and the stop rule are those of :func:`_integrate_blocks`,
+    here applied to the running sum of the panels. Each round evaluates
+    the next ``_SIZING_ROUND`` panels of every gbar whose stop rule has not
+    fired, in one evaluator call, up to ``_SIZING_PANELS`` panels; a gbar's
+    panels of a round are one (_SIZING_ROUND, 31) slice, as in a call for
+    that gbar alone. Returns the panels (row i for ``gbar[i]``, zero past
+    the ones evaluated), how many were evaluated, and how many blocks the
+    stop rule needs (all evaluated ones where it never fired).
+    """
+    width = 1.0 / math.sqrt(b)
+    wholes = np.zeros((len(gbar), _SIZING_PANELS))
+    sized = np.zeros(len(gbar), dtype=int)
+    counts = np.full(len(gbar), _SIZING_PANELS)
+    pending = np.arange(len(gbar))
+    for start in range(0, _SIZING_PANELS, _SIZING_ROUND):
+        if not pending.size:
+            break
+        end = start + _SIZING_ROUND
+        lo = width * np.arange(start, end)
+        wholes[pending, start:end] = _gl_panel(f, lo, lo + width, gbar[pending, None])
+        sized[pending] = end
+        running = np.cumsum(wholes[pending, :end], axis=1)[:, start:]
+        ends = width * np.arange(start + 1, end + 1)
+        stops = (running > 0.0) & (np.exp(-b * ends * ends) < 1e-16 * running)
+        fired = stops.any(axis=1)
+        counts[pending[fired]] = start + 1 + stops[fired].argmax(axis=1)
+        pending = pending[~fired]
+    return wholes, sized, counts
+
+
+def _integrate_blocks(f, b: float, wholes: np.ndarray, sized: np.ndarray, counts: np.ndarray,
+                      tol: np.ndarray, floor: np.ndarray, noise_rate: float,
+                      gbar: np.ndarray) -> np.ndarray:
     """Integrate f(v, gbar) over v in [0, inf) for each gbar of a 1-D
     array, where f decays at least like exp(-b v^2).
 
     For each gbar, fixed-width blocks are appended until the Gaussian
     envelope at the block boundary falls below 1e-16 of its running total;
     each block is refined by adaptive bisection of a 31-point
-    Gauss-Legendre rule. Row i of ``wholes`` holds the single-panel
-    estimates of the first blocks for ``gbar[i]``, and ``tol`` and
-    ``floor`` its tolerances.
+    Gauss-Legendre rule. ``wholes``, ``sized`` and ``counts`` come from
+    :func:`_size_blocks`: row i of ``wholes`` holds the single-panel
+    estimates of the first ``sized[i]`` blocks for ``gbar[i]``, which are
+    those blocks' starting estimates; a later block starts from a fresh
+    (1, 31) panel. ``tol`` and ``floor`` hold each gbar's tolerances.
 
-    The blocks that those estimates say the stop rule needs are refined
-    together, and the stop rule is then applied block by block to the
-    refined values, so the sum is the one a block-at-a-time loop gives.
-    Each round refines the next blocks of every gbar still open in one
-    ``_adaptive`` call; a gbar's blocks are summed, and its stop rule
+    The ``counts[i]`` blocks that those estimates say the stop rule needs
+    are refined together, and the stop rule is then applied block by block
+    to the refined values, so the sum is the one a block-at-a-time loop
+    gives. Each round refines the next blocks of every gbar still open in
+    one ``_adaptive`` call; a gbar's blocks are summed, and its stop rule
     applied, exactly as a call for that gbar alone does them.
     """
     width = 1.0 / math.sqrt(b)
-    first = wholes.shape[1]
-    running = np.cumsum(wholes, axis=1)
-    ends = width * np.arange(1, first + 1)
-    stops = (running > 0.0) & (np.exp(-b * ends * ends) < 1e-16 * running)
-    counts = np.where(stops.any(axis=1), stops.argmax(axis=1) + 1, first).tolist()
+    counts = counts.tolist()
     totals = [0.0] * len(gbar)
     nexts = [0] * len(gbar)
     pending = list(range(len(gbar)))
@@ -176,7 +237,7 @@ def _integrate_blocks(f, b: float, wholes: np.ndarray, tol: np.ndarray, floor: n
         ks = np.concatenate(ks)
         lo = ks * width
         hi = lo + width
-        fresh = ks >= first
+        fresh = ks >= sized[owner]
         block_wholes = np.empty(len(ks))
         block_wholes[~fresh] = wholes[owner[~fresh], ks[~fresh]]
         if fresh.any():
@@ -229,13 +290,17 @@ def exact_ser(model: EigDistModel, mod: Modulation, snr_db) -> float | np.ndarra
     SNRs of an array run together, each bisection level of every one in
     a single evaluator call, and each element is bit for bit the value a
     scalar call at that SNR returns. A non-finite SNR anywhere raises
-    ``ValidationError`` before any evaluation.
+    ``ValidationError`` before any evaluation. Each SNR sizes its
+    tolerance from single panels over as many leading blocks as its
+    truncation rule needs, found in rounds of ``_SIZING_ROUND`` blocks.
 
     Accuracy is the stated quadrature tolerance (absolute 1e-12 or
     relative 1e-8, whichever is looser) for models with distinct
     correlation eigenvalues; models on the tied-eigenvalue guard carry
     the guard's noise floor, which at low SNR loosens the achievable
-    relative accuracy to roughly ``model.noise_floor``.
+    relative accuracy to roughly ``model.noise_floor``. Where the
+    c.d.f.'s rounding noise exceeds that floor, bisection cannot converge
+    and ``QuadratureError`` is raised (see :func:`_adaptive`).
     """
     snrs = np.asarray(snr_db, dtype=float)
     # element by element: Python's float pow, which an array ** need not match
@@ -245,17 +310,17 @@ def exact_ser(model: EigDistModel, mod: Modulation, snr_db) -> float | np.ndarra
     def integrand(v: np.ndarray, g: np.ndarray) -> np.ndarray:
         return np.exp(-mod.b * v * v) * cdf(model, v * v / g)
 
-    # Single-panel pass over the first 32 blocks to size the tolerance
-    # (abs 1e-12 / rel 1e-8 on the SER, whichever is looser); the same
-    # panels are the blocks' starting estimates in the adaptive pass. Each
-    # SNR's panels are one (32, 31) slice, as in a call for that SNR alone.
-    width = 1.0 / math.sqrt(mod.b)
-    lo = width * np.arange(32)
-    wholes = _gl_panel(integrand, lo, lo + width, gbar[:, None])
+    # Single panels over the first blocks, as many as each SNR's stop rule
+    # needs, size the tolerance (abs 1e-12 / rel 1e-8 on the SER, whichever
+    # is looser); panels past the stop add less than 1e-16 of their sum.
+    # The same panels are the blocks' starting estimates in the adaptive pass.
+    wholes, sized, counts = _size_blocks(integrand, mod.b, gbar)
     rough = np.sum(wholes, axis=1)
     tol = np.maximum(_SER_ABS_TOL, _SER_REL_TOL * scale * np.abs(rough)) / scale
     floor = 1e-15 * np.maximum(np.abs(rough), 1e-300)
-    value = scale * _integrate_blocks(integrand, mod.b, wholes, tol, floor, model.noise_floor, gbar)
+    value = scale * _integrate_blocks(
+        integrand, mod.b, wholes, sized, counts, tol, floor, model.noise_floor, gbar
+    )
     ser = np.minimum(1.0, np.maximum(0.0, value)).reshape(snrs.shape)
     return float(ser) if ser.ndim == 0 else ser
 

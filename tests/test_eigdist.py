@@ -4,6 +4,7 @@ identities, guard behavior, monotonicity, and Monte-Carlo agreement."""
 import itertools
 import math
 import warnings
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -269,6 +270,17 @@ class TestPsiMatrix:
                     partial += term
                 want = math.exp(-t) - partial
                 assert value == pytest.approx(want, rel=1e-10, abs=1e-15)
+
+    def test_series_coefficients_correctly_rounded(self):
+        # c_j = 1/((m+1)...(m+j)), each the double nearest the exact
+        # rational, cut at the first term below 1e-19 of the leading one at
+        # the switch point t = m + 1
+        for m in range(1, 9):
+            coefficients = eigdist._series_coefficients(m)
+            exact = [Fraction(1, math.prod(range(m + 1, m + j + 1))) for j in range(len(coefficients))]
+            assert coefficients == tuple(float(c) for c in exact), m
+            terms = [c * (m + 1) ** j for j, c in enumerate(exact)]
+            assert terms[-1] <= Fraction(1e-19) < terms[-2], m
 
     def test_rejects_bad_shapes(self):
         with pytest.raises(ValidationError):

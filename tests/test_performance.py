@@ -2,7 +2,13 @@
 correlation penalties, Monte-Carlo agreement."""
 
 import math
+import os
+import resource
+import subprocess
+import sys
+import textwrap
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -110,6 +116,24 @@ class TestSerSweep:
     def test_tied_case_has_two_evaluation_sets(self):
         assert len(model_for(*self.CASES[1][0]).eval_sets) == 2
 
+    def test_evaluator_points_per_sweep(self, monkeypatch):
+        # Each SNR sizes its tolerance from the blocks its stop rule needs:
+        # 85,746 and 15,252 points, where single panels over 32 blocks for
+        # every SNR took 113,770 and 24,924. The 4x4 sweep has SNRs sized
+        # in one round and in two, which the bit-for-bit test above covers.
+        points = []
+
+        def counting_cdf(model, x):
+            points.append(np.size(x))
+            return eigdist.cdf(model, x)
+
+        monkeypatch.setattr(performance, "cdf", counting_cdf)
+        for (args, mod, snrs), bound in zip(self.CASES, (90_000, 16_000)):
+            model = model_for(*args)
+            points.clear()
+            performance.exact_ser(model, performance.modulation_preset(mod), snrs)
+            assert sum(points) < bound, (args, sum(points))
+
     def test_shapes(self):
         model = model_for(0.5, 2, 0.5, 2)
         mod = performance.modulation_preset("qpsk")
@@ -142,8 +166,8 @@ class TestSerSweep:
         assert calls  # the counter sees the evaluator calls
 
     def test_memory_does_not_follow_the_evaluator_work(self):
-        # Beyond its first pass's node arrays (32 panels x 31 nodes per SNR),
-        # which a sweep holds a few of, the evaluator works in blocks of
+        # Beyond its sizing rounds' node arrays (at most 32 panels x 31 nodes
+        # per SNR), which a sweep holds a few of, the evaluator works in blocks of
         # eigdist._EVAL_BLOCK points, whatever the sweep's size. So the extra
         # peak of 401 SNRs over 41 stays below six node arrays per extra SNR;
         # evaluating all points at once instead costs about 25.
@@ -248,6 +272,76 @@ class TestQuadratureFailure:
         err = excinfo.value
         assert math.isfinite(err.estimate)
         assert err.error_bound > 0.0
+
+
+# A quadrature that does not converge must fail with a typed error, not take
+# the host's memory: each run gets a 1 GB address-space cap and a timeout.
+_AS_LIMIT = 1 << 30
+
+
+def run_capped(args):
+    env = {
+        **os.environ,
+        "PYTHONPATH": str(Path(performance.__file__).parents[1]),
+        # one BLAS thread, whose buffers fit under the cap on any core count
+        "OPENBLAS_NUM_THREADS": "1",
+        "OMP_NUM_THREADS": "1",
+    }
+
+    def cap():
+        resource.setrlimit(resource.RLIMIT_AS, (_AS_LIMIT, _AS_LIMIT))
+
+    return subprocess.run(
+        [sys.executable, *args], capture_output=True, text=True, env=env, timeout=60,
+        preexec_fn=cap,
+    )
+
+
+def capped_ser(rho_tx, snr_db):
+    # 8PSK on 2x4, identity receive correlation, exponential transmit
+    code = textwrap.dedent(f"""
+        from mimomrc import correlation, eigdist, performance
+        from mimomrc.errors import QuadratureError
+        model = eigdist.build_model(correlation.make_pair(
+            correlation.exp_correlation(0.0, 2), correlation.exp_correlation({rho_tx!r}, 4)))
+        try:
+            print(repr(performance.exact_ser(
+                model, performance.modulation_preset("8psk"), {snr_db!r})))
+        except QuadratureError as exc:
+            print("QuadratureError", repr(exc.estimate), repr(exc.error_bound))
+    """)
+    result = run_capped(["-c", code])
+    assert result.returncode == 0, result.stderr
+    return result.stdout.split()
+
+
+class TestRunawayBisection:
+    """An integrand whose noise sits above its floor keeps every split open;
+    the per-block bound on open intervals refuses it within seconds."""
+
+    def test_noisy_integrand_refused(self):
+        # rho_tx 0.9: before the bound, MemoryError after 100 s under a
+        # 2.5 GB cap
+        kind, estimate, bound = capped_ser(0.9, -5.0)
+        assert kind == "QuadratureError"
+        assert 0.0 < float(estimate) < 1.0
+        assert 0.0 < float(bound) < math.inf
+
+    def test_cli_exits_with_numerical_error(self):
+        result = run_capped(
+            ["-m", "mimomrc.cli", "ser", "--nr", "2", "--nt", "4", "--rho-tx", "0.9",
+             "--mod", "8psk", "--sweep", "-5:5:3"]
+        )
+        assert result.returncode == 1
+        assert result.stderr.startswith("numerical error:")
+        assert result.stdout == ""
+
+    def test_largest_converging_fanout_kept(self):
+        # rho_tx 0.5 needs 1,508 intervals of one block at one level, the
+        # most on the 1-4 x 1-4 grid, and converges to the value it had
+        # before the bound (the model is tied: noise floor 1e-9)
+        (value,) = capped_ser(0.5, -5.0)
+        assert float(value) == pytest.approx(0.4560133684878448, rel=1e-9)
 
 
 class TestOutage:
