@@ -26,13 +26,18 @@ call: a batch's real normals are drawn whole, then its imaginary normals
 before the next is drawn. That consumes a batch's stream exactly as one
 draw of the real and then of the imaginary block does.
 The estimators take the samples as an array, so one draw can serve
-several SNRs or thresholds.
+several SNRs or thresholds. The samples are a pure function of the
+config, so :func:`simulate_lambda_max` draws them once per config object
+and hands the same read-only array to every later call on it; that is
+how :func:`mc_ser`, :func:`mc_outage` and :func:`empirical_cdf` share one
+draw. The draw is freed with its config.
 """
 
 from __future__ import annotations
 
 import math
 import os
+import weakref
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
@@ -42,7 +47,7 @@ from . import linalg
 from .correlation import CorrelationPair, correlation_eigenvalues, exp_correlation, make_pair
 from .errors import NumericalError, ValidationError
 from .performance import Modulation, snr_from_db
-from .specfun import gauss_q, scipy_special
+from .specfun import gauss_q
 
 _BATCH = 1 << 16
 # Rows of a batch turned into channels and λmax at a time: small enough
@@ -50,13 +55,23 @@ _BATCH = 1 << 16
 # block, large enough that numpy's per-call overhead stays small.
 _BLOCK = 8192
 
+# Each config's samples, kept for as long as the config object lives.
+_DRAWS: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
+
+
+def _is_integer(value) -> bool:
+    return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
+
 
 @dataclass(frozen=True, eq=False)
 class McConfig:
     """Simulation setup: geometry, correlation, trial count, seed.
 
     Correlation is either the exponential model through rho_rx/rho_tx or
-    explicit matrices (which take precedence when given).
+    explicit matrices (which take precedence when given); the config
+    keeps read-only copies of the matrices. A config compares and hashes
+    by identity: :func:`simulate_lambda_max` keeps its draw for as long
+    as the config object lives.
     """
 
     n_rx: int
@@ -69,25 +84,29 @@ class McConfig:
     seed: int = 12345
 
     def __post_init__(self):
-        if not isinstance(self.n_rx, (int, np.integer)) or self.n_rx < 1:
+        if not _is_integer(self.n_rx) or self.n_rx < 1:
             raise ValidationError(f"n_rx must be a positive integer, got {self.n_rx!r}")
-        if not isinstance(self.n_tx, (int, np.integer)) or self.n_tx < 1:
+        if not _is_integer(self.n_tx) or self.n_tx < 1:
             raise ValidationError(f"n_tx must be a positive integer, got {self.n_tx!r}")
-        if not isinstance(self.trials, (int, np.integer)) or self.trials < 1:
+        if not _is_integer(self.trials) or self.trials < 1:
             raise ValidationError(f"trials must be a positive integer, got {self.trials!r}")
-        if not isinstance(self.seed, (int, np.integer)) or not 0 <= self.seed < 2**64:
+        if not _is_integer(self.seed) or not 0 <= self.seed < 2**64:
             raise ValidationError(f"seed must be a 64-bit unsigned integer, got {self.seed!r}")
         for rho, label in ((self.rho_rx, "rho_rx"), (self.rho_tx, "rho_tx")):
             if not (0.0 <= float(rho) < 1.0):
                 raise ValidationError(f"{label} must lie in [0, 1), got {rho!r}")
-        for mat, size, label in (
-            (self.rx_corr, self.n_rx, "rx_corr"),
-            (self.tx_corr, self.n_tx, "tx_corr"),
-        ):
-            if mat is not None and np.asarray(mat).shape != (size, size):
+        for size, label in ((self.n_rx, "rx_corr"), (self.n_tx, "tx_corr")):
+            mat = getattr(self, label)
+            if mat is None:
+                continue
+            # a read-only copy: the config keys its draw, so its matrices
+            # must not change under it
+            mat = np.array(mat)
+            mat.flags.writeable = False
+            object.__setattr__(self, label, mat)
+            if mat.shape != (size, size):
                 raise ValidationError(
-                    f"{label} must be a square {size}x{size} matrix, "
-                    f"got shape {np.asarray(mat).shape}"
+                    f"{label} must be a square {size}x{size} matrix, got shape {mat.shape}"
                 )
 
 
@@ -282,13 +301,20 @@ def _worker_count(workers) -> int:
             return len(os.sched_getaffinity(0))
         except AttributeError:  # platforms without CPU affinity
             return os.cpu_count() or 1
-    if isinstance(workers, bool) or not isinstance(workers, (int, np.integer)) or workers < 1:
+    if not _is_integer(workers) or workers < 1:
         raise ValidationError(f"workers must be None or a positive integer, got {workers!r}")
     return int(workers)
 
 
 def simulate_lambda_max(cfg: McConfig, workers: int | None = None) -> np.ndarray:
-    """All largest-eigenvalue samples for the config (trials,).
+    """All largest-eigenvalue samples for the config (trials,), read-only.
+
+    The samples are drawn on the first call for a config object and kept
+    (weakly, by identity) for as long as that object lives: later calls
+    on it, with any ``workers``, return the same array, and so do
+    :func:`mc_ser`, :func:`mc_outage` and :func:`empirical_cdf`. Another
+    config with equal fields, such as one made by ``dataclasses.replace``,
+    draws again, and gets the same bits.
 
     Batch ``i`` holds trials ``i * _BATCH`` onward and is drawn from its
     own stream, so the samples do not depend on ``workers``. Worker ``w``
@@ -300,19 +326,15 @@ def simulate_lambda_max(cfg: McConfig, workers: int | None = None) -> np.ndarray
     of complex channels. With the λmax temporaries of a block, a worker
     holds 1.4 MB beyond the real normals on 2x2, 3.4 MB on 3x3 and 7 MB
     on 4x4, besides the (trials,) output. Raises ``ValidationError`` for a
-    ``workers`` other than ``None`` or a positive integer, and for a
-    correlation matrix that :func:`~mimomrc.correlation.make_pair` refuses
-    too (see :func:`~mimomrc.correlation.correlation_eigenvalues`).
+    ``workers`` other than ``None`` or a positive integer (on every call),
+    and for a correlation matrix that
+    :func:`~mimomrc.correlation.make_pair` refuses too (see
+    :func:`~mimomrc.correlation.correlation_eigenvalues`).
     """
     workers = _worker_count(workers)
-    if cfg.trials > _BATCH:
-        # A sweep of several batches loads scipy.special (for gauss_q)
-        # before its first batch allocates. Loaded after such a sweep, the
-        # module sits above the heap the batches used, and the next sweep
-        # needs new pages: a second 10^6-trial 3x3 sweep then raised the
-        # process high-water mark from 101 to 130 MB. One batch is too
-        # small for this to matter, and analytic-only use never loads it.
-        scipy_special()
+    out = _DRAWS.get(cfg)
+    if out is not None:
+        return out
     rx, tx = corr_matrices(cfg)
     rx_eigs = correlation_eigenvalues(rx, "receive")
     tx_eigs = correlation_eigenvalues(tx, "transmit")
@@ -354,7 +376,9 @@ def simulate_lambda_max(cfg: McConfig, workers: int | None = None) -> np.ndarray
             list(pool.map(run, range(workers)))
     else:
         run(0)
-    return out
+    out.flags.writeable = False
+    # two threads that both missed drew the same bits; the first stored wins
+    return _DRAWS.setdefault(cfg, out)
 
 
 def empirical_cdf(cfg: McConfig, grid, workers: int | None = None) -> np.ndarray:
@@ -425,13 +449,15 @@ def outage_estimate(samples: np.ndarray, snr_db: float, gamma_th: float) -> McRe
 
 
 def mc_ser(cfg: McConfig, mod: Modulation, snr_db: float, workers: int | None = None) -> McResult:
-    """:func:`ser_estimate` over the config's samples."""
+    """:func:`ser_estimate` over the config's samples (see
+    :func:`simulate_lambda_max`)."""
     return ser_estimate(simulate_lambda_max(cfg, workers=workers), mod, snr_db)
 
 
 def mc_outage(
     cfg: McConfig, snr_db: float, gamma_th: float, workers: int | None = None
 ) -> McResult:
-    """:func:`outage_estimate` over the config's samples."""
+    """:func:`outage_estimate` over the config's samples (see
+    :func:`simulate_lambda_max`)."""
     _threshold(gamma_th)  # refuse before drawing
     return outage_estimate(simulate_lambda_max(cfg, workers=workers), snr_db, gamma_th)

@@ -1,4 +1,9 @@
-"""Special functions for the eigenvalue-distribution and error-rate formulas."""
+"""Special functions for the eigenvalue-distribution and error-rate formulas.
+
+Everything here is exact integer arithmetic or numpy: the Gaussian tail
+:func:`gauss_q` is a polynomial fit of its own, so the package needs no
+special-function library.
+"""
 
 from __future__ import annotations
 
@@ -44,26 +49,92 @@ def double_factorial_odd(k: int) -> int:
     return math.prod(range(1, 2 * k, 2))
 
 
-def scipy_special():
-    """The ``scipy.special`` module, imported on first call.
-
-    It adds about 24 MB to the process, and only the Monte-Carlo
-    estimators need it (through :func:`gauss_q`), so the analytic paths
-    never load it.
-    """
-    import scipy.special
-
-    return scipy.special
+# Q(x) = exp(-x^2/2) g(t) / (2 (z + K)) with z = x / sqrt(2) and
+# t = (z - K) / (z + K), which maps z in [0, inf) onto t in [-1, 1), where
+# g(t) = exp(z^2) erfc(z) (z + K) is smooth (Schonfelder, Math. Comp. 1978).
+# g is fitted by a Chebyshev series of 24 terms at 64 Chebyshev nodes of
+# the first kind, in 40-digit mpmath; the next term is 6.2e-18. _Q_POLY
+# holds that series rewritten in powers of t (in 40 digits, then rounded
+# once), lowest power first, and the tests recompute it. Its coefficients
+# alternate in sign and their magnitudes sum to 3.75 = g(-1), so Horner's
+# rule (two passes per term, against three for Clenshaw's recurrence on
+# the Chebyshev coefficients) cancels nothing where g is largest; the two
+# measured equally accurate.
+_Q_K = 3.75
+_Q_POLY = (
+    1.0919229095627891,
+    -0.9587415766529095,
+    0.7363189252217537,
+    -0.49047029120768826,
+    0.2790620490336852,
+    -0.13195540117824336,
+    0.04911877861720606,
+    -0.012535880044978472,
+    0.000986338060145727,
+    0.0007948231282476774,
+    -0.00034864674071764747,
+    1.0593866720431546e-05,
+    3.7471310663113975e-05,
+    -8.903626741464975e-06,
+    -3.288570958593065e-06,
+    1.6555849395166649e-06,
+    2.7865722181858276e-07,
+    -2.633749968411953e-07,
+    -2.592284333798498e-08,
+    4.020787513306164e-08,
+    2.774844499122888e-09,
+    -5.368814293951196e-09,
+    -2.299114056507738e-10,
+    4.4046755782598165e-10,
+)
+# Past _Q_ZERO, exp(-x^2/2) is below the smallest subnormal.
+_Q_ZERO = 40.0
+# Points per Horner pass, so that its arrays stay in a core's cache: on
+# 65,536 points at once the passes ran 1.4x slower.
+_Q_BLOCK = 8192
 
 
 def gauss_q(x):
     """Gaussian tail probability Q(x) = 0.5 erfc(x / sqrt(2)).
 
-    Accepts scalars or numpy arrays. Relative accuracy is that of the
-    library erfc (a few ulp, far below the 1e-12 needed by the error-rate
-    integrals); underflows cleanly to 0 in the far tail.
+    Accepts a scalar (answered with a float) or an array (answered with
+    an array of its shape). Q(|x|) is exp(-x^2/2) times a degree-23
+    polynomial in t = (z - 3.75) / (z + 3.75), z = |x| / sqrt(2), over
+    2 (z + 3.75): a 24-term Chebyshev fit of exp(z^2) erfc(z) (z + 3.75),
+    summed by Horner's rule in numpy. A negative x gives 1 - Q(|x|).
+    Against 40-digit mpmath the worst relative error measured on a dense
+    grid is below 1e-15 on [0, 1), 2e-14 on [1, 10) and 2.5e-13 on
+    [10, 37.5], where Q reaches 1e-307 (the error there is that of x^2
+    rounded inside the exponential); beyond, Q runs into the subnormals
+    and is exactly 0 from about 38.6. Q(+inf) = 0, Q(-inf) = 1, and NaN
+    gives NaN.
     """
-    erfc = scipy_special().erfc
-    if np.isscalar(x):
-        return 0.5 * float(erfc(float(x) / math.sqrt(2.0)))
-    return 0.5 * erfc(np.asarray(x, dtype=float) / math.sqrt(2.0))
+    x = np.asarray(x, dtype=float)
+    flat = x.ravel()
+    q = np.empty(flat.size)
+    for lo in range(0, flat.size, _Q_BLOCK):
+        q[lo : lo + _Q_BLOCK] = _gauss_q_upper(np.abs(flat[lo : lo + _Q_BLOCK]))
+    negative = flat < 0.0
+    if negative.any():
+        q[negative] = 1.0 - q[negative]
+    return float(q[0]) if x.ndim == 0 else q.reshape(x.shape)
+
+
+def _gauss_q_upper(ax: np.ndarray) -> np.ndarray:
+    """Q at each point of a 1-D array of nonnegative (or NaN) points."""
+    ax = np.minimum(ax, _Q_ZERO)
+    z = ax * math.sqrt(0.5)
+    den = z + _Q_K
+    t = z - _Q_K
+    t /= den
+    s = t * _Q_POLY[-1]
+    s += _Q_POLY[-2]
+    for c in _Q_POLY[-3::-1]:
+        s *= t
+        s += c
+    den *= 2.0
+    s /= den
+    np.multiply(ax, ax, out=t)
+    t *= -0.5
+    s *= np.exp(t, out=t)
+    return s

@@ -1,14 +1,19 @@
 """Simulator tests: channel statistics, determinism, estimator sanity, and
 the eigenbasis draw against the full-matrix one."""
 
+import dataclasses
 import math
+import os
+import subprocess
 import sys
 import tracemalloc
+import weakref
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from mimomrc import cli, correlation, linalg, montecarlo, performance, specfun
+from mimomrc import cli, correlation, linalg, montecarlo, performance
 from mimomrc.errors import NumericalError, ValidationError
 
 
@@ -59,6 +64,22 @@ class TestConfigValidation:
     def test_rejects_bad_seed(self):
         with pytest.raises(ValidationError):
             montecarlo.McConfig(n_rx=1, n_tx=1, seed=-1)
+
+    @pytest.mark.parametrize("field", ["n_rx", "n_tx", "trials", "seed"])
+    @pytest.mark.parametrize("flag", [True, False])
+    def test_rejects_booleans(self, field, flag):
+        fields = {"n_rx": 2, "n_tx": 2, "trials": 10, "seed": 0, field: flag}
+        with pytest.raises(ValidationError, match=field):
+            montecarlo.McConfig(**fields)
+
+    def test_keeps_read_only_copies_of_the_matrices(self):
+        mat = correlation.exp_correlation(0.5, 2)
+        cfg = montecarlo.McConfig(n_rx=2, n_tx=2, rx_corr=mat, tx_corr=mat.tolist())
+        mat[0, 1] = mat[1, 0] = 0.9
+        for kept in (cfg.rx_corr, cfg.tx_corr):
+            assert kept[0, 1] == 0.5
+            with pytest.raises(ValueError):
+                kept[0, 1] = 0.2
 
     def test_rejects_mismatched_matrix(self):
         with pytest.raises(ValidationError):
@@ -245,15 +266,19 @@ class TestMcOutage:
 
 class TestDeterminism:
     def test_same_seed_bit_identical(self):
+        # a fresh config per call: calls on one config share its draw
         mod = performance.modulation_preset("8psk")
-        cfg = montecarlo.McConfig(n_rx=2, n_tx=2, rho_rx=0.5, rho_tx=0.5,
-                                  trials=150_000, seed=77)
-        a = montecarlo.mc_ser(cfg, mod, 12.0)
-        b = montecarlo.mc_ser(cfg, mod, 12.0)
+
+        def cfg():
+            return montecarlo.McConfig(n_rx=2, n_tx=2, rho_rx=0.5, rho_tx=0.5,
+                                       trials=150_000, seed=77)
+
+        a = montecarlo.mc_ser(cfg(), mod, 12.0)
+        b = montecarlo.mc_ser(cfg(), mod, 12.0)
         assert (a.estimate, a.std_error) == (b.estimate, b.std_error)
         grid = np.linspace(0, 10, 50)
         np.testing.assert_array_equal(
-            montecarlo.empirical_cdf(cfg, grid), montecarlo.empirical_cdf(cfg, grid)
+            montecarlo.empirical_cdf(cfg(), grid), montecarlo.empirical_cdf(cfg(), grid)
         )
 
     def test_different_seed_differs(self):
@@ -268,20 +293,25 @@ class TestDeterminism:
 
     def test_worker_count_invariance(self):
         # spans several batches so the reduction order matters; one
-        # geometry per lambda_max branch
+        # geometry per lambda_max branch, and a fresh config per draw
         mod = performance.modulation_preset("bpsk")
         for n_rx, n_tx in [(2, 2), (3, 3), (4, 4), (4, 1)]:
-            cfg = montecarlo.McConfig(n_rx=n_rx, n_tx=n_tx, rho_rx=0.3, trials=200_000, seed=55)
-            serial = montecarlo.mc_ser(cfg, mod, 8.0, workers=1)
-            serial_samples = montecarlo.simulate_lambda_max(cfg, workers=1)
+            def cfg():
+                return montecarlo.McConfig(
+                    n_rx=n_rx, n_tx=n_tx, rho_rx=0.3, trials=200_000, seed=55
+                )
+
+            serial = montecarlo.mc_ser(cfg(), mod, 8.0, workers=1)
+            serial_samples = montecarlo.simulate_lambda_max(cfg(), workers=1)
             # batches write disjoint slices of one array; switch threads
             # often so that a lost or misplaced write would show
             interval = sys.getswitchinterval()
             sys.setswitchinterval(1e-6)
             try:
-                threaded = montecarlo.mc_ser(cfg, mod, 8.0, workers=4)
+                threaded = montecarlo.mc_ser(cfg(), mod, 8.0, workers=4)
                 threaded_samples = [
-                    montecarlo.simulate_lambda_max(cfg, workers=workers) for workers in (3, None)
+                    montecarlo.simulate_lambda_max(cfg(), workers=workers)
+                    for workers in (3, None)
                 ]
             finally:
                 sys.setswitchinterval(interval)
@@ -313,11 +343,15 @@ class TestWorkers:
     def test_pooled_blocks_equal_the_reference_draw(self, n_rx, n_tx):
         # the reference draws each batch whole with _draw_white, real
         # block then imaginary block; the pooled, block-wise draw must give
-        # every sample the same bits at any worker count
+        # every sample the same bits at any worker count (a fresh config
+        # per count, as calls on one config share its draw)
         for trials in (1, self.BLOCK - 1, self.BLOCK + 1, 70_001, 150_001):
-            cfg = montecarlo.McConfig(
-                n_rx=n_rx, n_tx=n_tx, rho_rx=0.5, rho_tx=0.3, trials=trials, seed=1799
-            )
+            def make():
+                return montecarlo.McConfig(
+                    n_rx=n_rx, n_tx=n_tx, rho_rx=0.5, rho_tx=0.3, trials=trials, seed=1799
+                )
+
+            cfg = make()
             rx, tx = montecarlo.corr_matrices(cfg)
             std = np.sqrt(0.5 * np.outer(
                 correlation.correlation_eigenvalues(rx, "receive"),
@@ -331,7 +365,7 @@ class TestWorkers:
                 want.append(montecarlo.lambda_max(h))
             want = np.concatenate(want)
             for workers in (1, 2, 3, None):
-                got = montecarlo.simulate_lambda_max(cfg, workers=workers)
+                got = montecarlo.simulate_lambda_max(make(), workers=workers)
                 assert got.tobytes() == want.tobytes(), (trials, workers)
 
     def test_memory_bounded_by_the_buffers(self):
@@ -341,7 +375,6 @@ class TestWorkers:
         cfg = montecarlo.McConfig(n_rx=3, n_tx=3, rho_rx=0.5, trials=1 << 20, seed=3)
         workers = 2
         plane = 8 * self.BATCH * cfg.n_rx * cfg.n_tx
-        specfun.scipy_special()  # a first multi-batch call imports it
         tracemalloc.start()
         try:
             montecarlo.simulate_lambda_max(cfg, workers=workers)
@@ -595,3 +628,102 @@ class TestEstimators:
         grid = np.linspace(0.0, 12.0, 7)
         want = [montecarlo.outage_estimate(samples, 0.0, x).estimate for x in grid[1:]]
         np.testing.assert_array_equal(montecarlo.empirical_cdf(cfg, grid)[1:], want)
+
+
+EIGHT_PSK = performance.modulation_preset("8psk")
+
+
+@pytest.fixture
+def drawn(monkeypatch):
+    """The batch index of every stream the simulator opens, in order."""
+    indices = []
+    real = montecarlo._batch_rng
+
+    def counting(seed, index):
+        indices.append(index)
+        return real(seed, index)
+
+    monkeypatch.setattr(montecarlo, "_batch_rng", counting)
+    return indices
+
+
+class TestReuse:
+    """Every call on one config shares one draw, returned read-only and
+    freed with the config."""
+
+    @staticmethod
+    def make():
+        return montecarlo.McConfig(n_rx=2, n_tx=2, rho_rx=0.5, rho_tx=0.5,
+                                   trials=150_000, seed=31)
+
+    # the four mc_ser calls of the benchmark's crosscheck, then the rest
+    CALLS = [
+        *(
+            lambda cfg, snr=snr: montecarlo.mc_ser(cfg, EIGHT_PSK, snr)
+            for snr in (0.0, 10.0, 20.0, 30.0)
+        ),
+        lambda cfg: montecarlo.mc_outage(cfg, 10.0, 2.0),
+        lambda cfg: montecarlo.empirical_cdf(cfg, np.linspace(0.0, 8.0, 9)),
+        lambda cfg: montecarlo.simulate_lambda_max(cfg, workers=1),
+    ]
+
+    def test_one_draw_per_config(self, drawn):
+        cfg = self.make()
+        batches = math.ceil(cfg.trials / montecarlo._BATCH)
+        shared = [call(cfg) for call in self.CALLS]
+        assert sorted(drawn) == list(range(batches))
+        # each call alone on a fresh config draws again, to the same bits
+        fresh = [call(self.make()) for call in self.CALLS]
+        assert len(drawn) == batches * (1 + len(self.CALLS))
+        for got, want in zip(shared, fresh):
+            if isinstance(got, np.ndarray):
+                assert got.tobytes() == want.tobytes()
+            else:
+                assert (got.estimate, got.std_error, got.trials) == (
+                    want.estimate, want.std_error, want.trials
+                )
+
+    def test_equal_config_draws_again(self, drawn):
+        cfg = self.make()
+        a = montecarlo.simulate_lambda_max(cfg)
+        assert montecarlo.simulate_lambda_max(cfg, workers=2) is a
+        b = montecarlo.simulate_lambda_max(dataclasses.replace(cfg))
+        assert b is not a and b.tobytes() == a.tobytes()
+        assert len(drawn) == 2 * math.ceil(cfg.trials / montecarlo._BATCH)
+
+    def test_samples_are_read_only(self):
+        samples = montecarlo.simulate_lambda_max(self.make())
+        assert not samples.flags.writeable
+        with pytest.raises(ValueError):
+            samples[0] = 1.0
+        with pytest.raises(ValueError):
+            samples.sort()
+
+    def test_draw_freed_with_its_config(self):
+        cfg = self.make()
+        samples = weakref.ref(montecarlo.simulate_lambda_max(cfg))
+        assert samples() is not None
+        del cfg
+        assert samples() is None
+
+    def test_bad_worker_count_refused_after_a_draw(self):
+        cfg = self.make()
+        montecarlo.simulate_lambda_max(cfg)
+        with pytest.raises(ValidationError, match="workers"):
+            montecarlo.mc_ser(cfg, EIGHT_PSK, 10.0, workers=0)
+
+    def test_estimators_import_no_scipy(self):
+        code = (
+            "import sys\n"
+            "import mimomrc as mm\n"
+            "cfg = mm.McConfig(n_rx=2, n_tx=2, rho_rx=0.5, trials=70_000, seed=1)\n"
+            "for snr in (0.0, 10.0, 20.0, 30.0):\n"
+            "    mm.mc_ser(cfg, mm.modulation_preset('8psk'), snr)\n"
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))\n"
+        )
+        env = {**os.environ, "PYTHONPATH": str(Path(montecarlo.__file__).parents[1])}
+        result = subprocess.run(
+            [sys.executable, "-c", code], capture_output=True, text=True, env=env, timeout=120
+        )
+        assert result.returncode == 0, result.stderr
+        assert result.stdout.strip() == "[]"
