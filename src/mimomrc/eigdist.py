@@ -24,7 +24,6 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 
 import numpy as np
 
@@ -294,7 +293,7 @@ def _series_coefficients(m: int) -> tuple[float, ...]:
     coefficients, prod = [1.0], 1
     for d in range(m + 1, k + 1):
         prod *= d
-        coefficients.append(float(Fraction(1, prod)))
+        coefficients.append(1 / prod)  # int true division rounds correctly
     return tuple(coefficients)
 
 

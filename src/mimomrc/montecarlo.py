@@ -38,7 +38,6 @@ from __future__ import annotations
 import math
 import os
 import weakref
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -372,6 +371,10 @@ def simulate_lambda_max(cfg: McConfig, workers: int | None = None) -> np.ndarray
                 out[start + lo : start + lo + rows] = lambda_max(chunk)
 
     if workers > 1:
+        # Imported here, on first use: a thread pool imported with the
+        # package (with logging and queue) costs every command a few ms.
+        from concurrent.futures import ThreadPoolExecutor
+
         with ThreadPoolExecutor(max_workers=workers) as pool:
             list(pool.map(run, range(workers)))
     else:

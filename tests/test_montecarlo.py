@@ -2,6 +2,7 @@
 the eigenbasis draw against the full-matrix one."""
 
 import dataclasses
+import itertools
 import math
 import os
 import subprocess
@@ -367,6 +368,29 @@ class TestWorkers:
             for workers in (1, 2, 3, None):
                 got = montecarlo.simulate_lambda_max(make(), workers=workers)
                 assert got.tobytes() == want.tobytes(), (trials, workers)
+
+    def test_worker_error_reaches_the_caller(self, monkeypatch):
+        # a worker thread's error is raised again by the call, and the config
+        # keeps no draw, so the next call draws it whole
+        def make():
+            return montecarlo.McConfig(n_rx=2, n_tx=2, trials=3 * self.BATCH, seed=11)
+
+        want = montecarlo.simulate_lambda_max(make(), workers=1)
+        cfg = make()
+        calls = itertools.count()
+        lambda_max = montecarlo.lambda_max
+
+        def failing(h):
+            if next(calls) == 8:  # the ninth block, whichever worker draws it
+                raise NumericalError("injected")
+            return lambda_max(h)
+
+        with monkeypatch.context() as patch:
+            patch.setattr(montecarlo, "lambda_max", failing)
+            with pytest.raises(NumericalError, match="injected"):
+                montecarlo.simulate_lambda_max(cfg, workers=2)
+        got = montecarlo.simulate_lambda_max(cfg, workers=2)
+        assert got.tobytes() == want.tobytes()
 
     def test_memory_bounded_by_the_buffers(self):
         # Beyond the output, each worker holds one batch's real normals

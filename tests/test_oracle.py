@@ -1,7 +1,7 @@
 """Independent references: 50-digit mpmath eigenvalues of the correlation
 matrices, and for the array c.d.f. evaluator a 50-digit mpmath evaluation
-of the determinant form, the scalar psi-matrix + ``linalg.det`` route the
-evaluator replaced, and batch independence."""
+of the determinant form (both from ``oracle.py``), the scalar psi-matrix +
+``linalg.det`` route the evaluator replaced, and batch independence."""
 
 import math
 
@@ -13,6 +13,8 @@ from mimomrc.errors import NumericalError
 from mimomrc.specfun import multivariate_gamma_norm
 
 mp = pytest.importorskip("mpmath").mp
+
+from oracle import Oracle, mp_cdf_raw, mp_eigenvalues, mp_exp_tail  # noqa: E402
 
 SIZES = [(n_rx, n_tx) for n_rx in range(1, 5) for n_tx in range(1, 5)]
 RHOS = [(rho_rx, rho_tx) for rho_rx in (0.0, 0.5, 0.9) for rho_tx in (0.0, 0.5, 0.9)]
@@ -82,66 +84,6 @@ def scalar_cdf_raw(model, x):
     return value
 
 
-# --- 50-digit route --------------------------------------------------------
-
-
-def mp_exp_tail(t, m):
-    """sum_{k>=m} (-t)^k / k! to working precision: the series below t = 1,
-    where the subtracted form would cancel, the subtracted form above it,
-    where the alternating series would."""
-    if t >= 1:
-        return mp.exp(-t) - mp.fsum((-t) ** k / mp.factorial(k) for k in range(m))
-    term = (-t) ** m / mp.factorial(m)
-    total = term
-    k = m + 1
-    while abs(term) > mp.eps * abs(total):
-        term *= -t / k
-        total += term
-        k += 1
-    return total
-
-
-def mp_cdf_raw(model, x, dps=50):
-    """The determinant form at x in ``dps``-digit arithmetic, from the
-    double-precision evaluation sets of the model."""
-    n, m = model.n_min, model.n_max
-    gap = m - n
-    half_exp = n * (n - 1) // 2
-    sign = -1 if (n + half_exp) % 2 else 1
-    with mp.workdps(dps):
-        x = mp.mpf(float(x))
-        det_minor = mp.fprod(mp.mpf(float(v)) for v in model.pair.minor_eigs)
-        det_major = mp.fprod(mp.mpf(float(v)) for v in model.pair.major_eigs)
-        common = sign * multivariate_gamma_norm(n, n) * det_minor ** (n - 1) * det_major ** (m - 1)
-        value = mp.mpf(0)
-        for s in model.eval_sets:
-            minor = [mp.mpf(v) for v in s.minor]
-            major = [mp.mpf(v) for v in s.major]
-            psi = mp.matrix(m, m)
-            for j, sj in enumerate(major):
-                for i in range(gap):
-                    psi[i, j] = sj ** -(m - 1 - i)
-                for i in range(gap, m):
-                    psi[i, j] = mp_exp_tail(x / (minor[i - gap] * sj), m)
-            vand = mp.fprod(
-                v[j] - v[i] for v in (minor, major) for i in range(len(v)) for j in range(i + 1, len(v))
-            )
-            value += mp.mpf(s.weight) * common * mp.det(psi) / (vand * x**half_exp)
-        return float(value)
-
-
-# --- correlation eigenvalues ------------------------------------------------
-
-
-def mp_eigenvalues(mat, dps=50):
-    """Ascending eigenvalues of a Hermitian matrix in ``dps``-digit
-    arithmetic (mpmath's own Hermitian QR iteration)."""
-    with mp.workdps(dps):
-        a = mp.matrix([[mp.mpc(complex(z).real, complex(z).imag) for z in row] for row in mat])
-        values, _ = mp.eighe(a)
-        return np.array(sorted(float(mp.re(v)) for v in values))
-
-
 TIED_RX = np.array([[1.0, 0.5, 0.0], [0.5, 1.0, 0.0], [0.0, 0.0, 1.0]])
 COMPLEX_RX = np.array([[1.0, 0.4 + 0.3j, 0.1 - 0.25j],
                        [0.4 - 0.3j, 1.0, 0.5j],
@@ -181,6 +123,38 @@ class TestCorrelationEigenvalues:
         )
         assert model.degenerate == (order > 0)
         assert model.noise_floor == eigdist._noise_floor(order)
+
+
+class TestOracle:
+    """The table's oracle against closed forms: i.i.d. branches, so the
+    1xL cases below are fully tied and take the spread at 250 digits."""
+
+    @pytest.mark.parametrize("branches", [1, 3])
+    def test_cdf_and_complement_are_erlang(self, branches):
+        # F = 1 - exp(-x) sum_{k<L} x^k/k!, and 1 - F to relative accuracy
+        # where it is far below 1e-16
+        o = Oracle(np.eye(1), np.eye(branches))
+        assert o.tied == (branches > 1)
+        for x in (1e-3, 0.7, 5.0, 60.0):
+            with mp.workdps(60):
+                head = mp.exp(-x) * mp.fsum(mp.mpf(x) ** k / mp.factorial(k) for k in range(branches))
+                want = (float(1 - head), float(head))
+            got = o.cdf_pair(x)
+            assert got[0] == pytest.approx(want[0], rel=1e-14, abs=0.0), (x, got, want)
+            assert got[1] == pytest.approx(want[1], rel=1e-14, abs=0.0), (x, got, want)
+
+    @pytest.mark.parametrize("branches, snr_db", [(1, 10.0), (3, 0.0), (3, 15.0)])
+    def test_ser_is_the_bpsk_mrc_closed_form(self, branches, snr_db):
+        # BPSK over L i.i.d. Rayleigh branches: ((1-mu)/2)^L sum_k
+        # C(L-1+k, k) ((1+mu)/2)^k with mu = sqrt(g/(1+g))
+        with mp.workdps(40):
+            g = mp.mpf(10) ** (mp.mpf(snr_db) / 10)
+            mu = mp.sqrt(g / (1 + g))
+            want = float(((1 - mu) / 2) ** branches * mp.fsum(
+                mp.binomial(branches - 1 + k, k) * ((1 + mu) / 2) ** k for k in range(branches)
+            ))
+        got = Oracle(np.eye(1), np.eye(branches)).ser(1.0, 1.0, snr_db)
+        assert got == pytest.approx(want, rel=1e-13, abs=0.0)
 
 
 class TestMpmathOracle:

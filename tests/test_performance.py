@@ -50,6 +50,14 @@ class TestModulation:
 
 
 class TestExactSer:
+    def test_gauss_legendre_table_is_leggauss(self):
+        # the written-out rule, bit for bit, so that the package need not
+        # import numpy.polynomial
+        nodes, weights = np.polynomial.legendre.leggauss(31)
+        for got, want in ((performance._GL_NODES, nodes), (performance._GL_WEIGHTS, weights)):
+            assert got.dtype == want.dtype and got.shape == want.shape
+            assert got.tobytes() == want.tobytes()
+
     def test_siso_closed_form(self):
         model = model_for(0, 1, 0, 1)
         bpsk = performance.modulation_preset("bpsk")
