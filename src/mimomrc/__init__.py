@@ -18,17 +18,13 @@ from .eigdist import (
     asymptotic_pdf,
     build_model,
     cdf,
-    exact_cdf,
     exact_cdf_stable,
-    psi_matrix,
 )
 from .errors import NumericalError, QuadratureError, ValidationError
 from .montecarlo import (
     McConfig,
     McResult,
-    draw_channel,
     empirical_cdf,
-    max_eig_snr,
     mc_outage,
     mc_ser,
     simulate_lambda_max,
@@ -64,9 +60,7 @@ __all__ = [
     "build_model",
     "cdf",
     "correlation_penalty",
-    "draw_channel",
     "empirical_cdf",
-    "exact_cdf",
     "exact_cdf_stable",
     "exact_outage",
     "exact_ser",
@@ -74,11 +68,9 @@ __all__ = [
     "high_snr_ser",
     "load_matrix_csv",
     "make_pair",
-    "max_eig_snr",
     "mc_outage",
     "mc_ser",
     "modulation_preset",
-    "psi_matrix",
     "save_matrix_csv",
     "ser_asymptote_eval",
     "simulate_lambda_max",

@@ -89,8 +89,6 @@ class EigDistModel:
     log_alpha: float
     det_minor: float
     det_major: float
-    vand_minor: float
-    vand_major: float
     crossover: float
     saturation: float
     degenerate: bool
@@ -205,15 +203,15 @@ def _eval_set(minor: np.ndarray, major: np.ndarray, weight: float) -> _EvalSet:
     )
 
 
-def build_model(pair: CorrelationPair, degeneracy_tol: float = DEGENERACY_TOL) -> EigDistModel:
+def build_model(pair: CorrelationPair) -> EigDistModel:
     """Precompute everything needed to evaluate the distribution."""
     log_alpha = _log_alpha(pair)
     alpha = math.exp(log_alpha)
     d_minor = det_minor(pair)
     d_major = det_major(pair)
 
-    minor_clusters = _cluster(pair.minor_eigs, degeneracy_tol)
-    major_clusters = _cluster(pair.major_eigs, degeneracy_tol)
+    minor_clusters = _cluster(pair.minor_eigs, DEGENERACY_TOL)
+    major_clusters = _cluster(pair.major_eigs, DEGENERACY_TOL)
     order = sum(
         len(c) * (len(c) - 1) // 2
         for clusters in (minor_clusters, major_clusters)
@@ -247,8 +245,6 @@ def build_model(pair: CorrelationPair, degeneracy_tol: float = DEGENERACY_TOL) -
         log_alpha=log_alpha,
         det_minor=d_minor,
         det_major=d_major,
-        vand_minor=sets[0].vand_minor,
-        vand_major=sets[0].vand_major,
         crossover=0.0,
         saturation=math.inf,
         degenerate=degenerate,
@@ -360,6 +356,8 @@ def psi_matrix(minor, major, x: float) -> np.ndarray:
     Rows below the dimension gap hold inverse powers of the major-side
     eigenvalues; the remaining rows hold the partial-exponential-sum
     kernel exp(-t) - sum_{k<m} (-t)^k / k! with t = x / (minor * major).
+    Nothing in the library calls it: the tests check the kernel through it,
+    and the benchmark's traced mode times it as a span.
     """
     minor = [float(v) for v in minor]
     major = [float(v) for v in major]
@@ -536,19 +534,6 @@ def cdf(model: EigDistModel, x) -> np.ndarray:
         block = det[start : start + _EVAL_BLOCK]
         out[block] = np.maximum(_determinant_cdf(model, flat[block]), floor)
     return out.reshape(xs.shape)
-
-
-def exact_cdf(model: EigDistModel, x: float) -> float:
-    """Determinant-form c.d.f. of the maximum eigenvalue, clamped to [0, 1].
-
-    Not reliable below ``model.crossover`` or beyond ``model.saturation``;
-    use :func:`exact_cdf_stable` unless the raw determinant value is
-    specifically wanted.
-    """
-    x = float(_points(x))
-    if x == 0.0:
-        return 0.0
-    return float(_determinant_cdf(model, np.array([x]))[0])
 
 
 def asymptotic_cdf(model: EigDistModel, x: float) -> float:

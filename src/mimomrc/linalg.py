@@ -1,11 +1,13 @@
 """Small dense complex-matrix helpers.
 
-Input coercion, a checked Hermitian eigendecomposition and square root
-(LAPACK through numpy), a determinant and Vandermonde products for the
+Input coercion, a checked Hermitian eigendecomposition (LAPACK through
+numpy), a determinant and Vandermonde products for the
 handful-of-antennas matrices used by the library. The correlation
 eigenvalues of the analytic model and of the simulator come from
-``correlation.correlation_eigenvalues``, not from here. The determinant
-is the tests' scalar reference route; nothing in the library calls it.
+``correlation.correlation_eigenvalues``, not from here. Nothing in the
+library calls :func:`det` or :func:`herm_eig`: they are the tests'
+scalar reference routes, and the benchmark's traced mode times them as
+spans.
 """
 
 from __future__ import annotations
@@ -64,24 +66,6 @@ def herm_eig(a) -> HermitianEig:
     _require_hermitian(m, "herm_eig")
     vals, vecs = np.linalg.eigh(0.5 * (m + m.conj().T))
     return HermitianEig(eigenvalues=vals, eigenvectors=vecs)
-
-
-def herm_sqrt(a) -> np.ndarray:
-    """Hermitian square root B of a Hermitian positive-definite A (B·B = A).
-
-    Computed spectrally, B = V diag(sqrt(w)) V†. The Hermitian (rather
-    than Cholesky) root is used so channel draws are reproducible
-    independent of factorization conventions.
-    """
-    eig = herm_eig(a)
-    if np.min(eig.eigenvalues) <= 0.0:
-        raise ValidationError(
-            "herm_sqrt requires a positive-definite matrix "
-            f"(min eigenvalue {np.min(eig.eigenvalues):.3e})"
-        )
-    v = eig.eigenvectors
-    root = (v * np.sqrt(eig.eigenvalues)) @ v.conj().T
-    return 0.5 * (root + root.conj().T)
 
 
 def det(a) -> complex:

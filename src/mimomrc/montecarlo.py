@@ -8,12 +8,13 @@ l_tx are the eigenvalues of the two correlations. They come from
 ``correlation.correlation_eigenvalues``, the check the analytic model
 uses too, so the simulator and the model accept exactly the same
 matrices. The simulator therefore draws each entry (i, j) as a complex
-Gaussian of variance l_rx[i] * l_tx[j] and takes the largest eigenvalue
-of the Gram matrix on the smaller side in closed form for up to three
-antennas there, by ``eigvalsh`` from four. For three the closed form is
-the trigonometric root of the characteristic cubic; the rows where it
-would lose accuracy (a near-tied top pair, or three nearly equal
-eigenvalues) are recomputed by ``eigvalsh``.
+Gaussian of variance l_rx[i] * l_tx[j], with no matrix square root (the
+tests keep the full-matrix draw as its reference), and takes the largest
+eigenvalue of the Gram matrix on the smaller side in closed form for up
+to three antennas there, by ``eigvalsh`` from four. For three the
+closed form is the trigonometric root of the characteristic cubic; the
+rows where it would lose accuracy (a near-tied top pair, or three nearly
+equal eigenvalues) are recomputed by ``eigvalsh``.
 
 Trials are partitioned into fixed-size batches, each driven by its own
 jumped Philox stream keyed by (seed, batch index), and batch statistics
@@ -44,7 +45,7 @@ import numpy as np
 
 from . import linalg
 from .correlation import CorrelationPair, correlation_eigenvalues, exp_correlation, make_pair
-from .errors import NumericalError, ValidationError
+from .errors import ValidationError
 from .performance import Modulation, snr_from_db
 from .specfun import gauss_q
 
@@ -148,15 +149,6 @@ def _draw_white(
     return h
 
 
-def draw_channel(cfg: McConfig, rng: np.random.Generator) -> np.ndarray:
-    """One correlated channel draw using the given stream state."""
-    rx, tx = corr_matrices(cfg)
-    rx_root = linalg.herm_sqrt(rx)
-    tx_root = linalg.herm_sqrt(tx)
-    white = _draw_white(rng, 1, cfg.n_rx, cfg.n_tx)[0]
-    return rx_root @ white @ tx_root
-
-
 def lambda_max(h) -> np.ndarray:
     """Largest eigenvalue of the Gram matrix of each channel in a
     (count, n_rx, n_tx) batch.
@@ -254,42 +246,6 @@ def _lambda_max_three(h: np.ndarray) -> np.ndarray:
     if recompute.any():
         lam[recompute] = _gram_lambda_max(h[recompute])
     return lam
-
-
-def max_eig_snr(h, snr_db: float, check: bool = False) -> tuple[float, float]:
-    """Largest eigenvalue of the channel Gram matrix and the output SNR.
-
-    The Gram matrix is formed on the smaller side of the channel (same
-    nonzero spectrum, smaller eigenproblem). With ``check=True`` the
-    eigenvector is verified to attain the eigenvalue as a Rayleigh
-    quotient and to dominate random beamforming directions.
-    """
-    h = np.asarray(h, dtype=np.complex128)
-    if h.ndim != 2 or not np.all(np.isfinite(h)):
-        raise ValidationError("channel matrix must be a finite 2-D array")
-    n_rx, n_tx = h.shape
-    gram_small = h.conj().T @ h if n_tx <= n_rx else h @ h.conj().T
-    lam = float(np.linalg.eigvalsh(gram_small)[-1])
-    gbar = snr_from_db(snr_db)
-    if check:
-        gram = h.conj().T @ h
-        vals, vecs = np.linalg.eigh(gram)
-        w_opt = vecs[:, -1]
-        quad = float(np.real(w_opt.conj() @ gram @ w_opt))
-        if not abs(quad - lam) <= 1e-10 * max(1.0, lam):
-            raise NumericalError(
-                f"beamformer Rayleigh quotient {quad!r} misses the largest eigenvalue {lam!r}"
-            )
-        probe_rng = np.random.default_rng(0)
-        for _ in range(8):
-            w = probe_rng.standard_normal(n_tx) + 1j * probe_rng.standard_normal(n_tx)
-            w /= np.linalg.norm(w)
-            probe = float(np.real(w.conj() @ gram @ w))
-            if not probe <= lam * (1.0 + 1e-10):
-                raise NumericalError(
-                    f"a probe direction gains {probe!r}, above the largest eigenvalue {lam!r}"
-                )
-    return lam, gbar * lam
 
 
 def _worker_count(workers) -> int:

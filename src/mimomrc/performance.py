@@ -361,7 +361,6 @@ class HighSnrSer:
 
     diversity_order: int
     array_gain: float
-    model: EigDistModel
 
 
 def high_snr_ser(model: EigDistModel, mod: Modulation) -> HighSnrSer:
@@ -385,7 +384,7 @@ def high_snr_ser(model: EigDistModel, mod: Modulation) -> HighSnrSer:
         + math.log(2.0 * mod.b)
         - log_inner / mn
     )
-    return HighSnrSer(diversity_order=mn, array_gain=math.exp(log_gain), model=model)
+    return HighSnrSer(diversity_order=mn, array_gain=math.exp(log_gain))
 
 
 def ser_asymptote_eval(hs: HighSnrSer, snr_db: float) -> float:

@@ -1,0 +1,132 @@
+"""The package's public surface, and the module attributes that the
+benchmark's traced mode (``perfbench/tracing.py``) wraps by name."""
+
+import importlib.util
+import io
+import sys
+from contextlib import redirect_stdout
+from pathlib import Path
+
+import pytest
+
+import mimomrc
+from mimomrc import cli, eigdist, linalg, montecarlo
+
+TRACING = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
+
+PUBLIC = [
+    "CorrelationPair",
+    "EigDistModel",
+    "HighSnrSer",
+    "MODULATIONS",
+    "McConfig",
+    "McResult",
+    "Modulation",
+    "NumericalError",
+    "QuadratureError",
+    "ValidationError",
+    "__version__",
+    "alpha_coefficient",
+    "asymptotic_cdf",
+    "asymptotic_outage",
+    "asymptotic_pdf",
+    "build_model",
+    "cdf",
+    "correlation_penalty",
+    "empirical_cdf",
+    "exact_cdf_stable",
+    "exact_outage",
+    "exact_ser",
+    "exp_correlation",
+    "high_snr_ser",
+    "load_matrix_csv",
+    "make_pair",
+    "mc_outage",
+    "mc_ser",
+    "modulation_preset",
+    "save_matrix_csv",
+    "ser_asymptote_eval",
+    "simulate_lambda_max",
+]
+
+# Second routes to a quantity the library computes one way: λmax
+# (``montecarlo.lambda_max``), the channel draw (``simulate_lambda_max``)
+# and the c.d.f. (``cdf``). ``psi_matrix`` stays in ``eigdist`` only.
+DELETED = [
+    (montecarlo, "max_eig_snr"),
+    (montecarlo, "draw_channel"),
+    (linalg, "herm_sqrt"),
+    (eigdist, "exact_cdf"),
+]
+
+
+def test_all_is_pinned():
+    assert mimomrc.__all__ == PUBLIC
+
+
+def test_every_public_name_resolves():
+    for name in PUBLIC:
+        assert getattr(mimomrc, name) is not None, name
+
+
+@pytest.mark.parametrize("module, name", DELETED, ids=[f"{m.__name__}.{n}" for m, n in DELETED])
+def test_deleted_route_is_gone(module, name):
+    assert not hasattr(module, name)
+    assert not hasattr(mimomrc, name)
+
+
+def test_psi_matrix_not_reexported():
+    assert not hasattr(mimomrc, "psi_matrix")
+    assert callable(eigdist.psi_matrix)
+
+
+def test_model_knob_and_unread_fields_are_gone():
+    model = mimomrc.build_model(
+        mimomrc.make_pair(mimomrc.exp_correlation(0.5, 2), mimomrc.exp_correlation(0.0, 3))
+    )
+    for field in ("vand_minor", "vand_major"):
+        assert not hasattr(model, field)
+    hs = mimomrc.high_snr_ser(model, mimomrc.modulation_preset("qpsk"))
+    assert not hasattr(hs, "model")
+    with pytest.raises(TypeError):
+        mimomrc.build_model(model.pair, degeneracy_tol=1e-3)
+
+
+@pytest.fixture(scope="module")
+def tracing():
+    spec = importlib.util.spec_from_file_location("perfbench_tracing", TRACING)
+    module = importlib.util.module_from_spec(spec)
+    # dataclasses look their module up in sys.modules while it executes
+    sys.modules[spec.name] = module
+    try:
+        spec.loader.exec_module(module)
+        yield module
+    finally:
+        del sys.modules[spec.name]
+
+
+def test_every_wrapped_name_resolves(tracing):
+    for module, attr, _ in tracing.WRAPPED:
+        assert callable(getattr(module, attr, None)), f"{module.__name__}.{attr}"
+
+
+def run_summary():
+    buffer = io.StringIO()
+    with redirect_stdout(buffer):
+        code = cli.main(["summary", "--nr", "2", "--nt", "3", "--rho-rx", "0.5", "--rho-tx", "0.3"])
+    assert code == 0
+    return buffer.getvalue()
+
+
+def test_traced_summary_restores_every_original(tracing):
+    originals = [getattr(module, attr) for module, attr, _ in tracing.WRAPPED]
+    untraced = run_summary()
+    tracer = tracing.Tracer()
+    with tracer.installed():
+        with tracer.command(0):
+            traced = run_summary()
+    assert traced == untraced
+    for (module, attr, _), fn in zip(tracing.WRAPPED, originals):
+        assert getattr(module, attr) is fn, f"{module.__name__}.{attr}"
+    names = {span.name for span in tracer.spans()}
+    assert {"cli.main", "eigdist.build_model", "correlation.make_pair"} <= names

@@ -22,6 +22,13 @@ def model_for(rho_rx, n_rx, rho_tx, n_tx):
     )
 
 
+def determinant_cdf(model, x):
+    """The determinant form at one point, clamped to [0, 1]: 0 at x = 0."""
+    if x == 0.0:
+        return 0.0
+    return float(eigdist._determinant_cdf(model, np.array([float(x)]))[0])
+
+
 def erlang_cdf(m, x):
     total = 1.0
     term = 1.0
@@ -71,33 +78,33 @@ class TestAlpha:
 
 class TestExactCdf:
     def test_zero_is_zero(self):
-        assert eigdist.exact_cdf(model_for(0, 2, 0.5, 2), 0.0) == 0.0
+        assert eigdist.exact_cdf_stable(model_for(0, 2, 0.5, 2), 0.0) == 0.0
 
     def test_siso_exponential(self):
         model = model_for(0, 1, 0, 1)
-        assert eigdist.exact_cdf(model, 1.0) == pytest.approx(1.0 - math.exp(-1.0), rel=1e-12)
+        assert determinant_cdf(model, 1.0) == pytest.approx(1.0 - math.exp(-1.0), rel=1e-12)
 
     def test_one_by_two_erlang(self):
         model = model_for(0, 1, 0, 2)
         want = 1.0 - math.exp(-0.1) * 1.1  # about 4.6788e-3
-        assert eigdist.exact_cdf(model, 0.1) == pytest.approx(want, rel=1e-9)
+        assert determinant_cdf(model, 0.1) == pytest.approx(want, rel=1e-9)
 
     def test_erlang_collapse_to_1e8(self):
         # identity correlations against the closed-form order statistics
         for n, m in [(1, 1), (1, 2), (1, 3)]:
             model = model_for(0, n, 0, m)
             for x in np.geomspace(0.05, 12.0, 40):
-                got = eigdist.exact_cdf(model, float(x))
+                got = determinant_cdf(model, float(x))
                 assert got == pytest.approx(erlang_cdf(m, float(x)), abs=1e-8)
 
     def test_rejects_negative(self):
         with pytest.raises(ValidationError):
-            eigdist.exact_cdf(model_for(0, 1, 0, 1), -0.5)
+            eigdist.exact_cdf_stable(model_for(0, 1, 0, 1), -0.5)
 
     def test_range(self):
         model = model_for(0.5, 3, 0.9, 2)
         for x in np.linspace(0.0, 40.0, 200):
-            assert 0.0 <= eigdist.exact_cdf(model, float(x)) <= 1.0
+            assert 0.0 <= determinant_cdf(model, float(x)) <= 1.0
 
     def test_out_of_range_raw_value_raises(self, monkeypatch):
         # a typed error, not an assert that python -O strips, in the scalar
@@ -106,11 +113,11 @@ class TestExactCdf:
         x = math.sqrt(model.crossover * model.saturation)
         monkeypatch.setattr(eigdist, "_cdf_raw", lambda model, xs: np.full(len(xs), 1.5))
         with pytest.raises(NumericalError, match="out of range"):
-            eigdist.exact_cdf(model, x)
+            determinant_cdf(model, x)
         with pytest.raises(NumericalError, match="out of range"):
             eigdist.cdf(model, [0.5 * model.crossover, x])
         # outside [crossover, saturation] the raw value is only clamped
-        assert eigdist.exact_cdf(model, 2.0 * model.saturation) == 1.0
+        assert determinant_cdf(model, 2.0 * model.saturation) == 1.0
 
 
 class TestAsymptotic:
@@ -225,7 +232,7 @@ class TestAsymptoticConsistency:
             model = model_for(*args)
             mn = model.n_min * model.n_max
             x = (1e-6 / model.alpha) ** (1.0 / mn)
-            ratio = eigdist.exact_cdf(model, x) / eigdist.asymptotic_cdf(model, x)
+            ratio = determinant_cdf(model, x) / eigdist.asymptotic_cdf(model, x)
             assert abs(ratio - 1.0) < 0.05
 
     def test_all_configs_stable(self):

@@ -63,33 +63,6 @@ class TestHermEig:
             linalg.herm_eig([[np.nan, 0.0], [0.0, 1.0]])
 
 
-class TestHermSqrt:
-    def test_identity(self):
-        np.testing.assert_allclose(linalg.herm_sqrt(np.eye(3)), np.eye(3), atol=1e-14)
-
-    def test_diagonal(self):
-        root = linalg.herm_sqrt(np.diag([4.0, 9.0]))
-        np.testing.assert_allclose(root, np.diag([2.0, 3.0]), atol=1e-12)
-
-    def test_squares_back(self):
-        a = np.array([[1.0, 0.5], [0.5, 1.0]])
-        root = linalg.herm_sqrt(a)
-        np.testing.assert_allclose(root @ root, a, atol=1e-12)
-
-    def test_random_squares_back(self):
-        rng = np.random.RandomState(7)
-        for n in range(1, 9):
-            b = rng.randn(n, n) + 1j * rng.randn(n, n)
-            a = b @ b.conj().T + 0.1 * np.eye(n)
-            root = linalg.herm_sqrt(a)
-            assert np.linalg.norm(root @ root - a) <= 1e-10 * np.linalg.norm(a)
-            assert np.max(np.abs(root - root.conj().T)) <= 1e-12
-
-    def test_rejects_indefinite(self):
-        with pytest.raises(ValidationError):
-            linalg.herm_sqrt(np.diag([1.0, -0.5]))
-
-
 class TestDet:
     def test_scalar(self):
         assert linalg.det([[1.0]]) == 1.0

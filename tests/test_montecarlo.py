@@ -14,8 +14,17 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from mimomrc import cli, correlation, linalg, montecarlo, performance
+from mimomrc import cli, correlation, montecarlo, performance
 from mimomrc.errors import NumericalError, ValidationError
+
+
+def _herm_sqrt(a):
+    """Hermitian square root V diag(sqrt(w)) V^H of a correlation matrix
+    that the simulator accepts (Hermitian, positive definite)."""
+    a = np.asarray(a, dtype=np.complex128)
+    w, v = np.linalg.eigh(0.5 * (a + a.conj().T))
+    root = (v * np.sqrt(w)) @ v.conj().T
+    return 0.5 * (root + root.conj().T)
 
 
 def full_matrix_channels(cfg, rng, count):
@@ -24,7 +33,7 @@ def full_matrix_channels(cfg, rng, count):
     reference."""
     rx, tx = montecarlo.corr_matrices(cfg)
     white = montecarlo._draw_white(rng, count, cfg.n_rx, cfg.n_tx)
-    return linalg.herm_sqrt(rx) @ white @ linalg.herm_sqrt(tx)
+    return _herm_sqrt(rx) @ white @ _herm_sqrt(tx)
 
 
 def eigvalsh_lambda_max(h):
@@ -98,7 +107,7 @@ class TestDrawChannel:
     def test_uncorrelated_is_white(self):
         cfg = montecarlo.McConfig(n_rx=2, n_tx=3, trials=1)
         rng = np.random.Generator(np.random.Philox(5))
-        h = montecarlo.draw_channel(cfg, rng)
+        h = full_matrix_channels(cfg, rng, 1)[0]
         rng2 = np.random.Generator(np.random.Philox(5))
         white = montecarlo._draw_white(rng2, 1, 2, 3)[0]
         np.testing.assert_allclose(h, white, atol=1e-14)
@@ -130,52 +139,29 @@ class TestDrawChannel:
             assert np.all(np.abs(cov - want) <= 3.0 * se + 1e-12)
 
 
-class TestMaxEigSnr:
+class TestHermSqrt:
+    """The square root of the full-matrix reference draw."""
+
     def test_identity(self):
-        lam, gamma = montecarlo.max_eig_snr(np.eye(2), 0.0)
-        assert lam == pytest.approx(1.0, rel=1e-12)
-        assert gamma == pytest.approx(1.0, rel=1e-12)
+        np.testing.assert_allclose(_herm_sqrt(np.eye(3)), np.eye(3), atol=1e-14)
 
-    def test_rank_one(self):
-        u = np.array([2.0, 0.0])
-        v = np.array([0.0, 3.0, 0.0])
-        h = np.outer(u, v)
-        lam, gamma = montecarlo.max_eig_snr(h, 10.0, check=True)
-        assert lam == pytest.approx(36.0, rel=1e-12)
-        assert gamma == pytest.approx(360.0, rel=1e-12)
+    def test_diagonal(self):
+        root = _herm_sqrt(np.diag([4.0, 9.0]))
+        np.testing.assert_allclose(root, np.diag([2.0, 3.0]), atol=1e-12)
 
-    def test_exceeds_mean_eigenvalue(self):
-        rng = np.random.default_rng(4)
-        for _ in range(20):
-            h = rng.standard_normal((3, 2)) + 1j * rng.standard_normal((3, 2))
-            lam, _ = montecarlo.max_eig_snr(h, 0.0, check=True)
-            assert lam >= np.sum(np.abs(h) ** 2) / 2 - 1e-12
+    def test_squares_back(self):
+        a = np.array([[1.0, 0.5], [0.5, 1.0]])
+        root = _herm_sqrt(a)
+        np.testing.assert_allclose(root @ root, a, atol=1e-12)
 
-    def test_snr_scaling(self):
-        h = np.eye(3)
-        _, gamma = montecarlo.max_eig_snr(h, 20.0)
-        assert gamma == pytest.approx(100.0, rel=1e-12)
-
-    def test_rejects_nonfinite(self):
-        with pytest.raises(ValidationError):
-            montecarlo.max_eig_snr(np.array([[np.inf, 0.0], [0.0, 1.0]]), 0.0)
-
-    def test_check_failures_raise_numerical_error(self, monkeypatch):
-        # typed errors, so the checks survive python -O
-        eigvalsh, eigh = np.linalg.eigvalsh, np.linalg.eigh
-        h = np.array([[2.0, 0.0], [0.0, 1.0], [0.0, 0.0]])
-        # an eigenvalue the beamformer does not attain
-        monkeypatch.setattr(np.linalg, "eigvalsh", lambda a: 2.0 * eigvalsh(a))
-        with pytest.raises(NumericalError, match="Rayleigh quotient"):
-            montecarlo.max_eig_snr(h, 0.0, check=True)
-        # the smallest eigenpair passed off as the largest: attained, but
-        # beaten by probe directions
-        monkeypatch.setattr(np.linalg, "eigvalsh", lambda a: eigvalsh(a)[::-1])
-        monkeypatch.setattr(
-            np.linalg, "eigh", lambda a: tuple(v[..., ::-1] for v in eigh(a))
-        )
-        with pytest.raises(NumericalError, match="probe direction"):
-            montecarlo.max_eig_snr(h, 0.0, check=True)
+    def test_random_squares_back(self):
+        rng = np.random.RandomState(7)
+        for n in range(1, 9):
+            b = rng.randn(n, n) + 1j * rng.randn(n, n)
+            a = b @ b.conj().T + 0.1 * np.eye(n)
+            root = _herm_sqrt(a)
+            assert np.linalg.norm(root @ root - a) <= 1e-10 * np.linalg.norm(a)
+            assert np.max(np.abs(root - root.conj().T)) <= 1e-12
 
 
 class TestEmpiricalCdf:
