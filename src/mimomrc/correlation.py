@@ -48,7 +48,6 @@ class CorrelationPair:
     tx_corr: np.ndarray
     n_min: int
     n_max: int
-    gap: int  # n_max - n_min
     minor_eigs: np.ndarray
     major_eigs: np.ndarray
 
@@ -96,7 +95,6 @@ def make_pair(rx_corr, tx_corr) -> CorrelationPair:
         tx_corr=tx,
         n_min=min(n_rx, n_tx),
         n_max=max(n_rx, n_tx),
-        gap=abs(n_rx - n_tx),
         minor_eigs=minor_eigs,
         major_eigs=major_eigs,
     )

@@ -23,6 +23,7 @@ from __future__ import annotations
 
 import functools
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -108,21 +109,32 @@ def alpha_coefficient(pair: CorrelationPair) -> float:
     """Leading coefficient of the small-argument expansion of the c.d.f.
 
     Accumulated in the log domain (log-gammas and log-determinants) so
-    large antenna counts cannot overflow intermediate products.
+    large antenna counts cannot overflow intermediate products. Raises
+    ``NumericalError`` when the coefficient itself lies outside the normal
+    double range.
     """
     return math.exp(_log_alpha(pair))
 
 
 def _log_alpha(pair: CorrelationPair) -> float:
+    """log alpha, refused where alpha is no normal double: the leading term,
+    and the scans that start from it, have no value there."""
     n, m = pair.n_min, pair.n_max
     log_det_minor = float(np.sum(np.log(pair.minor_eigs)))
     log_det_major = float(np.sum(np.log(pair.major_eigs)))
-    return (
+    log_alpha = (
         log_multivariate_gamma_norm(n, n)
         - m * log_det_minor
         - n * log_det_major
         - log_multivariate_gamma_norm(n, m + n)
     )
+    if not math.log(sys.float_info.min) <= log_alpha <= math.log(sys.float_info.max):
+        raise NumericalError(
+            f"leading coefficient alpha = exp({log_alpha:.6g}) lies outside the normal double "
+            "range for this correlation/geometry; use the Monte-Carlo simulator for this "
+            "configuration"
+        )
+    return log_alpha
 
 
 def _cluster(values: np.ndarray, rel_tol: float) -> list[list[int]]:
@@ -423,8 +435,9 @@ def _find_crossover(model: EigDistModel) -> float:
     grid = _geometric(x_top, _SCAN_STEP, steps + 1)
     lead = model.alpha * _ipow(grid, mn)
     # lead underflows to 0 at the bottom of the scan for large mn; the
-    # NaN ratios there are never hits
-    with np.errstate(divide="ignore", invalid="ignore"):
+    # NaN ratios there are never hits. A determinant that overflows is
+    # left to the saturation scan, which refuses the model.
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         hits = np.flatnonzero(np.abs(_cdf_raw(model, grid) / lead - 1.0) > _CROSSOVER_REL)
     if hits.size:
         return float(grid[hits[0]])
@@ -443,11 +456,11 @@ def _find_saturation(model: EigDistModel) -> float:
     1 - theta(mn); beyond that point the form's jitter can exceed the
     true tail increments, so the stable evaluator saturates there.
 
-    The walk doubles as a usability check of the whole bulk: wildly
-    out-of-range or non-monotone values mean the determinant form has no
-    double-precision accuracy left for this correlation/geometry (very
-    large dimension spreads under strong correlation do this), and the
-    model refuses to build rather than return garbage.
+    The walk doubles as a usability check of the whole bulk: non-finite,
+    wildly out-of-range or non-monotone values mean the determinant form
+    has no double-precision accuracy left for this correlation/geometry
+    (very large dimension spreads under strong correlation do this), and
+    the model refuses to build rather than return garbage.
 
     Points are evaluated _SAT_CHUNK at a time and judged in scan order.
     """
@@ -457,8 +470,11 @@ def _find_saturation(model: EigDistModel) -> float:
     high_water = -math.inf
     for _ in range(_SAT_MAX_STEPS // _SAT_CHUNK):
         grid = _geometric(x, _SAT_STEP, _SAT_CHUNK)
-        for x, raw in zip(grid.tolist(), _cdf_raw(model, grid).tolist()):
-            if raw > 1.0 + slack or raw < -slack or raw < high_water - slack:
+        # an overflowing determinant gives inf or NaN, which the test refuses
+        with np.errstate(over="ignore", invalid="ignore"):
+            raws = _cdf_raw(model, grid).tolist()
+        for x, raw in zip(grid.tolist(), raws):
+            if not -slack <= raw <= 1.0 + slack or raw < high_water - slack:
                 raise NumericalError(
                     "determinant form loses double-precision significance for this "
                     f"correlation/geometry (value {raw:.3g} at x={x:.3g}); use the "

@@ -20,9 +20,10 @@ Trials are partitioned into fixed-size batches, each driven by its own
 jumped Philox stream keyed by (seed, batch index), and batch statistics
 are merged with a pairwise scheme, so results are bit-identical for a
 given (config, seed) regardless of how many workers process the batches.
-By default the batches are spread over every CPU the process may run
-on. Each worker draws into buffers the calling thread allocates once per
-call: a batch's real normals are drawn whole, then its imaginary normals
+The batches are spread over every CPU the process may run on, one
+worker thread each; the CPU affinity mask is what limits them. Each
+worker draws into buffers the calling thread allocates once per draw:
+a batch's real normals are drawn whole, then its imaginary normals
 ``_BLOCK`` rows at a time, each block turned into channels and λmax
 before the next is drawn. That consumes a batch's stream exactly as one
 draw of the real and then of the imaginary block does.
@@ -136,19 +137,6 @@ def _batch_rng(seed: int, index: int) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(seed).jumped(index))
 
 
-def _draw_white(
-    rng: np.random.Generator, count: int, n_rx: int, n_tx: int, std=math.sqrt(0.5)
-) -> np.ndarray:
-    """``count`` complex Gaussian matrices; ``std`` (a scalar or an
-    (n_rx, n_tx) array) is the standard deviation of the real and of the
-    imaginary part of each entry, unit variance by default."""
-    h = np.empty((count, n_rx, n_tx), dtype=np.complex128)
-    h.real = rng.standard_normal((count, n_rx, n_tx))
-    h.imag = rng.standard_normal((count, n_rx, n_tx))
-    h *= std
-    return h
-
-
 def lambda_max(h) -> np.ndarray:
     """Largest eigenvalue of the Gram matrix of each channel in a
     (count, n_rx, n_tx) batch.
@@ -248,48 +236,47 @@ def _lambda_max_three(h: np.ndarray) -> np.ndarray:
     return lam
 
 
-def _worker_count(workers) -> int:
-    """``workers`` checked, with ``None`` read as every CPU this process
-    may run on."""
-    if workers is None:
-        try:
-            return len(os.sched_getaffinity(0))
-        except AttributeError:  # platforms without CPU affinity
-            return os.cpu_count() or 1
-    if not _is_integer(workers) or workers < 1:
-        raise ValidationError(f"workers must be None or a positive integer, got {workers!r}")
-    return int(workers)
+def _worker_count() -> int:
+    """The number of CPUs this process may run on."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # platforms without CPU affinity
+        return os.cpu_count() or 1
 
 
-def simulate_lambda_max(cfg: McConfig, workers: int | None = None) -> np.ndarray:
+def simulate_lambda_max(cfg: McConfig) -> np.ndarray:
     """All largest-eigenvalue samples for the config (trials,), read-only.
 
     The samples are drawn on the first call for a config object and kept
     (weakly, by identity) for as long as that object lives: later calls
-    on it, with any ``workers``, return the same array, and so do
-    :func:`mc_ser`, :func:`mc_outage` and :func:`empirical_cdf`. Another
-    config with equal fields, such as one made by ``dataclasses.replace``,
-    draws again, and gets the same bits.
+    on it return the same array, and so do :func:`mc_ser`,
+    :func:`mc_outage` and :func:`empirical_cdf`. Another config with equal
+    fields, such as one made by ``dataclasses.replace``, draws again, and
+    gets the same bits.
 
-    Batch ``i`` holds trials ``i * _BATCH`` onward and is drawn from its
-    own stream, so the samples do not depend on ``workers``. Worker ``w``
-    of ``W`` takes batches ``w, w + W, ...``; ``workers=None`` (the
-    default) uses every CPU this process may run on, and no more workers
-    than batches run. Each worker draws into buffers this thread
-    allocates before the pool starts: one batch's real normals
-    (``n_rx·n_tx·0.5`` MB), and ``_BLOCK`` rows of imaginary normals and
-    of complex channels. With the λmax temporaries of a block, a worker
-    holds 1.4 MB beyond the real normals on 2x2, 3.4 MB on 3x3 and 7 MB
-    on 4x4, besides the (trials,) output. Raises ``ValidationError`` for a
-    ``workers`` other than ``None`` or a positive integer (on every call),
-    and for a correlation matrix that
+    The draw runs a worker thread per CPU in this process's affinity mask
+    (``taskset``, ``os.sched_setaffinity``), at most one per batch. Batch
+    ``i`` holds trials ``i * _BATCH`` onward and is drawn from its own
+    stream, so the samples do not depend on the worker count. Each worker
+    draws into buffers this thread allocates before the pool starts: one
+    batch's real normals (``n_rx·n_tx·0.5`` MB), and ``_BLOCK`` rows of
+    imaginary normals and of complex channels. With the λmax temporaries
+    of a block, a worker holds 1.4 MB beyond the real normals on 2x2,
+    3.4 MB on 3x3 and 7 MB on 4x4, besides the (trials,) output. Raises
+    ``ValidationError`` for a correlation matrix that
     :func:`~mimomrc.correlation.make_pair` refuses too (see
     :func:`~mimomrc.correlation.correlation_eigenvalues`).
     """
-    workers = _worker_count(workers)
     out = _DRAWS.get(cfg)
-    if out is not None:
-        return out
+    if out is None:
+        # two threads that both missed drew the same bits; the first stored wins
+        out = _DRAWS.setdefault(cfg, _draw(cfg, _worker_count()))
+    return out
+
+
+def _draw(cfg: McConfig, workers: int) -> np.ndarray:
+    """The config's samples, drawn afresh by ``workers`` threads (at most
+    one per batch): worker ``w`` of ``W`` takes batches ``w, w + W, ...``."""
     rx, tx = corr_matrices(cfg)
     rx_eigs = correlation_eigenvalues(rx, "receive")
     tx_eigs = correlation_eigenvalues(tx, "transmit")
@@ -313,8 +300,8 @@ def simulate_lambda_max(cfg: McConfig, workers: int | None = None) -> np.ndarray
         for index in range(worker, batches, workers):
             start = index * _BATCH
             count = min(_BATCH, cfg.trials - start)
-            # the stream order of _draw_white: the batch's real block, then
-            # its imaginary block, here drawn _BLOCK rows at a time
+            # one draw of the batch's real block, then of its imaginary
+            # block, here drawn _BLOCK rows at a time
             rng = _batch_rng(cfg.seed, index)
             rng.standard_normal(out=real[:count])
             for lo in range(0, count, _BLOCK):
@@ -336,18 +323,17 @@ def simulate_lambda_max(cfg: McConfig, workers: int | None = None) -> np.ndarray
     else:
         run(0)
     out.flags.writeable = False
-    # two threads that both missed drew the same bits; the first stored wins
-    return _DRAWS.setdefault(cfg, out)
+    return out
 
 
-def empirical_cdf(cfg: McConfig, grid, workers: int | None = None) -> np.ndarray:
+def empirical_cdf(cfg: McConfig, grid) -> np.ndarray:
     """Fraction of simulated largest eigenvalues at or below each grid point."""
     grid = np.asarray(grid, dtype=float)
     if grid.ndim != 1 or grid.size == 0:
         raise ValidationError("grid must be a nonempty 1-D array")
     if np.any(np.diff(grid) < 0.0):
         raise ValidationError("grid must be ascending")
-    samples = np.sort(simulate_lambda_max(cfg, workers=workers))
+    samples = np.sort(simulate_lambda_max(cfg))
     return np.searchsorted(samples, grid, side="right") / cfg.trials
 
 
@@ -407,16 +393,14 @@ def outage_estimate(samples: np.ndarray, snr_db: float, gamma_th: float) -> McRe
     return McResult(estimate=p, std_error=std_error, trials=samples.size)
 
 
-def mc_ser(cfg: McConfig, mod: Modulation, snr_db: float, workers: int | None = None) -> McResult:
+def mc_ser(cfg: McConfig, mod: Modulation, snr_db: float) -> McResult:
     """:func:`ser_estimate` over the config's samples (see
     :func:`simulate_lambda_max`)."""
-    return ser_estimate(simulate_lambda_max(cfg, workers=workers), mod, snr_db)
+    return ser_estimate(simulate_lambda_max(cfg), mod, snr_db)
 
 
-def mc_outage(
-    cfg: McConfig, snr_db: float, gamma_th: float, workers: int | None = None
-) -> McResult:
+def mc_outage(cfg: McConfig, snr_db: float, gamma_th: float) -> McResult:
     """:func:`outage_estimate` over the config's samples (see
     :func:`simulate_lambda_max`)."""
     _threshold(gamma_th)  # refuse before drawing
-    return outage_estimate(simulate_lambda_max(cfg, workers=workers), snr_db, gamma_th)
+    return outage_estimate(simulate_lambda_max(cfg), snr_db, gamma_th)

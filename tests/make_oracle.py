@@ -85,7 +85,7 @@ def build() -> dict:
         for snr in snrs.tolist()
     ]
     spawn = multiprocessing.get_context("spawn")
-    with ProcessPoolExecutor(max_workers=montecarlo._worker_count(None), mp_context=spawn) as pool:
+    with ProcessPoolExecutor(max_workers=montecarlo._worker_count(), mp_context=spawn) as pool:
         ser_results = iter(list(pool.map(_ser_task, ser_tasks)))
         cdf = list(pool.map(_cdf_task, CDF_CASES))
     ser = []

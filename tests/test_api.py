@@ -2,6 +2,7 @@
 benchmark's traced mode (``perfbench/tracing.py``) wraps by name."""
 
 import importlib.util
+import inspect
 import io
 import sys
 from contextlib import redirect_stdout
@@ -49,6 +50,44 @@ PUBLIC = [
     "simulate_lambda_max",
 ]
 
+# The parameter names of every public callable, in order: an added,
+# removed or renamed parameter is a change of the public surface. None
+# marks an exception that keeps the constructor of the built-in one it
+# extends.
+SIGNATURES = {
+    "CorrelationPair": ("rx_corr", "tx_corr", "n_min", "n_max", "minor_eigs", "major_eigs"),
+    "EigDistModel": ("pair", "alpha", "log_alpha", "det_minor", "det_major", "crossover",
+                     "saturation", "degenerate", "noise_floor", "eval_sets"),
+    "HighSnrSer": ("diversity_order", "array_gain"),
+    "McConfig": ("n_rx", "n_tx", "rho_rx", "rho_tx", "rx_corr", "tx_corr", "trials", "seed"),
+    "McResult": ("estimate", "std_error", "trials"),
+    "Modulation": ("name", "a", "b"),
+    "NumericalError": None,
+    "QuadratureError": ("message", "estimate", "error_bound"),
+    "ValidationError": None,
+    "alpha_coefficient": ("pair",),
+    "asymptotic_cdf": ("model", "x"),
+    "asymptotic_outage": ("model", "snr_db", "gamma_th"),
+    "asymptotic_pdf": ("model", "x"),
+    "build_model": ("pair",),
+    "cdf": ("model", "x"),
+    "correlation_penalty": ("pair",),
+    "empirical_cdf": ("cfg", "grid"),
+    "exact_cdf_stable": ("model", "x"),
+    "exact_outage": ("model", "snr_db", "gamma_th"),
+    "exact_ser": ("model", "mod", "snr_db"),
+    "exp_correlation": ("rho", "size"),
+    "high_snr_ser": ("model", "mod"),
+    "load_matrix_csv": ("path",),
+    "make_pair": ("rx_corr", "tx_corr"),
+    "mc_outage": ("cfg", "snr_db", "gamma_th"),
+    "mc_ser": ("cfg", "mod", "snr_db"),
+    "modulation_preset": ("name",),
+    "save_matrix_csv": ("path", "matrix"),
+    "ser_asymptote_eval": ("hs", "snr_db"),
+    "simulate_lambda_max": ("cfg",),
+}
+
 # Second routes to a quantity the library computes one way: λmax
 # (``montecarlo.lambda_max``), the channel draw (``simulate_lambda_max``)
 # and the c.d.f. (``cdf``). ``psi_matrix`` stays in ``eigdist`` only.
@@ -67,6 +106,20 @@ def test_all_is_pinned():
 def test_every_public_name_resolves():
     for name in PUBLIC:
         assert getattr(mimomrc, name) is not None, name
+
+
+def test_every_public_callable_has_a_pinned_signature():
+    assert sorted(SIGNATURES) == sorted(n for n in PUBLIC if callable(getattr(mimomrc, n)))
+
+
+@pytest.mark.parametrize("name", sorted(SIGNATURES))
+def test_public_signature_is_pinned(name):
+    obj = getattr(mimomrc, name)
+    if SIGNATURES[name] is None:
+        base = obj.__mro__[1]
+        assert base.__module__ == "builtins" and obj.__init__ is base.__init__
+    else:
+        assert tuple(inspect.signature(obj).parameters) == SIGNATURES[name]
 
 
 @pytest.mark.parametrize("module, name", DELETED, ids=[f"{m.__name__}.{n}" for m, n in DELETED])

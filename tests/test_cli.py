@@ -280,6 +280,24 @@ class TestExitCodes:
         assert code == 0
         assert len(out.splitlines()) == 4
 
+    @pytest.mark.parametrize("command", [
+        ["summary", "--nr", "10", "--nt", "10", "--rho-rx", "0.999", "--rho-tx", "0.999"],
+        ["summary", "--nr", "16", "--nt", "16", "--rho-rx", "0.99", "--rho-tx", "0.99"],
+        ["summary", "--nr", "20", "--nt", "20", "--rho-rx", "0.5", "--rho-tx", "0.5"],
+        ["summary", "--nr", "12", "--nt", "12", "--rho-rx", "0.99", "--rho-tx", "0.99"],
+        ["cdf", "--nr", "12", "--nt", "12", "--rho-rx", "0.99", "--rho-tx", "0.99",
+         "--sweep", "0:10:6"],
+    ], ids=["10x10-alpha-overflow", "16x16-alpha-overflow", "20x20-alpha-underflow",
+            "12x12-summary-nan", "12x12-cdf-nan"])
+    def test_unsupported_geometry_exit_code(self, command, capsys):
+        # refused while the model is built, with a message and no traceback
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code, out, err = run_cli(command, capsys)
+        assert code == 1
+        assert out == ""
+        assert err.startswith("numerical error: ") and "Monte-Carlo" in err
+
     def test_numerical_failure_exit_code(self, capsys, monkeypatch):
         def boom(*args, **kwargs):
             raise NumericalError("synthetic failure")

@@ -41,7 +41,7 @@ class TestMakePair:
         pair = correlation.make_pair(
             correlation.exp_correlation(0.5, 2), correlation.exp_correlation(0.3, 3)
         )
-        assert (pair.n_min, pair.n_max, pair.gap) == (2, 3, 1)
+        assert (pair.n_min, pair.n_max) == (2, 3)
         # receive side is the smaller dimension -> its eigenvalues are minor
         want = np.linalg.eigvalsh(correlation.exp_correlation(0.5, 2).real)
         np.testing.assert_allclose(pair.minor_eigs, want, rtol=1e-10)

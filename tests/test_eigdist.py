@@ -297,6 +297,33 @@ class TestPsiMatrix:
             eigdist.psi_matrix([1.0], [1.0, 2.0], -1.0)
 
 
+# Square exponential geometries (n, rho on both sides) that double
+# precision cannot support: alpha overflows on the first two and
+# underflows to 0 on the third.
+ALPHA_OUT_OF_RANGE = [(10, 0.999), (16, 0.99), (20, 0.5)]
+
+
+class TestOutOfRangeRefused:
+    @pytest.mark.parametrize("n, rho", ALPHA_OUT_OF_RANGE)
+    def test_alpha_out_of_range(self, n, rho):
+        pair = correlation.make_pair(
+            correlation.exp_correlation(rho, n), correlation.exp_correlation(rho, n)
+        )
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for call in (eigdist.alpha_coefficient, eigdist.build_model):
+                with pytest.raises(NumericalError, match="leading coefficient"):
+                    call(pair)
+
+    def test_non_finite_scan_value(self):
+        # 12x12 rho .99/.99: the determinant overflows, and the form is NaN
+        # from x = 4.58 in the saturation scan
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(NumericalError, match="value nan"):
+                model_for(0.99, 12, 0.99, 12)
+
+
 class TestDegeneracyGuard:
     def test_tied_eigenvalues_flagged(self):
         assert model_for(0, 2, 0, 2).degenerate

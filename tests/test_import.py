@@ -41,16 +41,14 @@ def test_commands_load_no_unneeded_module():
         "import sys\n"
         "import mimomrc as mm\n"
         "from mimomrc import montecarlo\n"
-        "def cfg():\n"
-        "    return mm.McConfig(n_rx=2, n_tx=3, rho_rx=0.5, trials=2 * montecarlo._BATCH + 1,"
-        " seed=5)\n"
+        "cfg = mm.McConfig(n_rx=2, n_tx=3, rho_rx=0.5, trials=2 * montecarlo._BATCH + 1, seed=5)\n"
         "model = mm.build_model(mm.make_pair(mm.exp_correlation(0.5, 2),"
         " mm.exp_correlation(0.5, 3)))\n"
         "mm.exact_ser(model, mm.modulation_preset('8psk'), [0.0, 10.0, 20.0])\n"
         "mm.exact_outage(model, 10.0, [1.0, 2.0])\n"
-        "one = mm.simulate_lambda_max(cfg(), workers=1)\n"
+        "one = montecarlo._draw(cfg, 1)\n"
         + loaded()
-        + "two = mm.simulate_lambda_max(cfg(), workers=2)\n"
+        + "two = montecarlo._draw(cfg, 2)\n"
         "print(one.tobytes() == two.tobytes(), 'concurrent.futures' in sys.modules)\n"
     )
     assert run_fresh(code).splitlines() == ["[]", "True True"]

@@ -27,12 +27,25 @@ def _herm_sqrt(a):
     return 0.5 * (root + root.conj().T)
 
 
+def _draw_white(rng, count, n_rx, n_tx, std=math.sqrt(0.5)):
+    """``count`` complex Gaussian matrices; ``std`` (a scalar or an
+    (n_rx, n_tx) array) is the standard deviation of the real and of the
+    imaginary part of each entry, unit variance by default. Draws a whole
+    real block, then a whole imaginary block: the stream order that the
+    simulator's block-wise draw keeps."""
+    h = np.empty((count, n_rx, n_tx), dtype=np.complex128)
+    h.real = rng.standard_normal((count, n_rx, n_tx))
+    h.imag = rng.standard_normal((count, n_rx, n_tx))
+    h *= std
+    return h
+
+
 def full_matrix_channels(cfg, rng, count):
     """``count`` channels drawn as corr_rx^{1/2} * white * corr_tx^{1/2}:
     the route the simulator's eigenbasis draw replaces, kept here as its
     reference."""
     rx, tx = montecarlo.corr_matrices(cfg)
-    white = montecarlo._draw_white(rng, count, cfg.n_rx, cfg.n_tx)
+    white = _draw_white(rng, count, cfg.n_rx, cfg.n_tx)
     return _herm_sqrt(rx) @ white @ _herm_sqrt(tx)
 
 
@@ -109,7 +122,7 @@ class TestDrawChannel:
         rng = np.random.Generator(np.random.Philox(5))
         h = full_matrix_channels(cfg, rng, 1)[0]
         rng2 = np.random.Generator(np.random.Philox(5))
-        white = montecarlo._draw_white(rng2, 1, 2, 3)[0]
+        white = _draw_white(rng2, 1, 2, 3)[0]
         np.testing.assert_allclose(h, white, atol=1e-14)
 
     def test_unit_entry_power(self):
@@ -288,18 +301,16 @@ class TestDeterminism:
                     n_rx=n_rx, n_tx=n_tx, rho_rx=0.3, trials=200_000, seed=55
                 )
 
-            serial = montecarlo.mc_ser(cfg(), mod, 8.0, workers=1)
-            serial_samples = montecarlo.simulate_lambda_max(cfg(), workers=1)
+            serial_samples = montecarlo._draw(cfg(), 1)
+            serial = montecarlo.ser_estimate(serial_samples, mod, 8.0)
             # batches write disjoint slices of one array; switch threads
             # often so that a lost or misplaced write would show
             interval = sys.getswitchinterval()
             sys.setswitchinterval(1e-6)
             try:
-                threaded = montecarlo.mc_ser(cfg(), mod, 8.0, workers=4)
-                threaded_samples = [
-                    montecarlo.simulate_lambda_max(cfg(), workers=workers)
-                    for workers in (3, None)
-                ]
+                threaded = montecarlo.mc_ser(cfg(), mod, 8.0)
+                threaded_samples = [montecarlo._draw(cfg(), workers) for workers in (2, 3, 4)]
+                threaded_samples.append(montecarlo.simulate_lambda_max(cfg()))
             finally:
                 sys.setswitchinterval(interval)
             assert (serial.estimate, serial.std_error) == (threaded.estimate, threaded.std_error)
@@ -311,34 +322,17 @@ class TestWorkers:
     BATCH = montecarlo._BATCH
     BLOCK = montecarlo._BLOCK
 
-    @pytest.mark.parametrize("workers", [0, -3, 2.5, "2", True, False])
-    def test_bad_worker_count_refused(self, workers):
-        cfg = montecarlo.McConfig(n_rx=2, n_tx=2, trials=10, seed=0)
-        mod = performance.modulation_preset("bpsk")
-        for call in (
-            lambda: montecarlo.simulate_lambda_max(cfg, workers=workers),
-            lambda: montecarlo.mc_ser(cfg, mod, 10.0, workers=workers),
-            lambda: montecarlo.mc_outage(cfg, 0.0, 1.0, workers=workers),
-            lambda: montecarlo.empirical_cdf(cfg, np.array([1.0]), workers=workers),
-        ):
-            with pytest.raises(ValidationError, match="workers"):
-                call()
-
     @pytest.mark.parametrize("n_rx, n_tx", [
         (1, 4), (4, 1), (2, 3), (3, 2), (3, 3), (3, 4), (4, 3), (4, 4),
     ])
     def test_pooled_blocks_equal_the_reference_draw(self, n_rx, n_tx):
         # the reference draws each batch whole with _draw_white, real
         # block then imaginary block; the pooled, block-wise draw must give
-        # every sample the same bits at any worker count (a fresh config
-        # per count, as calls on one config share its draw)
+        # every sample the same bits at any worker count
         for trials in (1, self.BLOCK - 1, self.BLOCK + 1, 70_001, 150_001):
-            def make():
-                return montecarlo.McConfig(
-                    n_rx=n_rx, n_tx=n_tx, rho_rx=0.5, rho_tx=0.3, trials=trials, seed=1799
-                )
-
-            cfg = make()
+            cfg = montecarlo.McConfig(
+                n_rx=n_rx, n_tx=n_tx, rho_rx=0.5, rho_tx=0.3, trials=trials, seed=1799
+            )
             rx, tx = montecarlo.corr_matrices(cfg)
             std = np.sqrt(0.5 * np.outer(
                 correlation.correlation_eigenvalues(rx, "receive"),
@@ -348,34 +342,33 @@ class TestWorkers:
             for index, start in enumerate(range(0, trials, self.BATCH)):
                 count = min(self.BATCH, trials - start)
                 rng = montecarlo._batch_rng(cfg.seed, index)
-                h = montecarlo._draw_white(rng, count, n_rx, n_tx, std)
+                h = _draw_white(rng, count, n_rx, n_tx, std)
                 want.append(montecarlo.lambda_max(h))
             want = np.concatenate(want)
-            for workers in (1, 2, 3, None):
-                got = montecarlo.simulate_lambda_max(make(), workers=workers)
+            for workers in (1, 2, 3, 4):
+                got = montecarlo._draw(cfg, workers)
                 assert got.tobytes() == want.tobytes(), (trials, workers)
 
     def test_worker_error_reaches_the_caller(self, monkeypatch):
-        # a worker thread's error is raised again by the call, and the config
-        # keeps no draw, so the next call draws it whole
-        def make():
-            return montecarlo.McConfig(n_rx=2, n_tx=2, trials=3 * self.BATCH, seed=11)
-
-        want = montecarlo.simulate_lambda_max(make(), workers=1)
-        cfg = make()
-        calls = itertools.count()
+        # a worker thread's error is raised again by the draw, and the
+        # config keeps no draw, so the next call draws it whole
+        cfg = montecarlo.McConfig(n_rx=2, n_tx=2, trials=3 * self.BATCH, seed=11)
+        want = montecarlo._draw(cfg, 1)
         lambda_max = montecarlo.lambda_max
 
-        def failing(h):
-            if next(calls) == 8:  # the ninth block, whichever worker draws it
-                raise NumericalError("injected")
-            return lambda_max(h)
+        for draw in (lambda: montecarlo._draw(cfg, 2), lambda: montecarlo.simulate_lambda_max(cfg)):
+            calls = itertools.count()
 
-        with monkeypatch.context() as patch:
-            patch.setattr(montecarlo, "lambda_max", failing)
-            with pytest.raises(NumericalError, match="injected"):
-                montecarlo.simulate_lambda_max(cfg, workers=2)
-        got = montecarlo.simulate_lambda_max(cfg, workers=2)
+            def failing(h):
+                if next(calls) == 8:  # the ninth block, whichever worker draws it
+                    raise NumericalError("injected")
+                return lambda_max(h)
+
+            with monkeypatch.context() as patch:
+                patch.setattr(montecarlo, "lambda_max", failing)
+                with pytest.raises(NumericalError, match="injected"):
+                    draw()
+        got = montecarlo.simulate_lambda_max(cfg)
         assert got.tobytes() == want.tobytes()
 
     def test_memory_bounded_by_the_buffers(self):
@@ -387,7 +380,7 @@ class TestWorkers:
         plane = 8 * self.BATCH * cfg.n_rx * cfg.n_tx
         tracemalloc.start()
         try:
-            montecarlo.simulate_lambda_max(cfg, workers=workers)
+            montecarlo._draw(cfg, workers)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -477,14 +470,14 @@ class TestClosedForms:
     @pytest.mark.parametrize("m", [1, 2, 4])
     def test_one_antenna_both_orientations(self, m):
         rng = np.random.Generator(np.random.Philox(41))
-        h = montecarlo._draw_white(rng, 5000, 1, m) * np.geomspace(1e-3, 1e3, 5000)[:, None, None]
+        h = _draw_white(rng, 5000, 1, m) * np.geomspace(1e-3, 1e3, 5000)[:, None, None]
         self.assert_close(h)
         self.assert_close(h.transpose(0, 2, 1).copy())
 
     @pytest.mark.parametrize("m", [2, 3, 5])
     def test_two_antennas_both_orientations(self, m):
         rng = np.random.Generator(np.random.Philox(43))
-        random = montecarlo._draw_white(rng, 5000, 2, m)
+        random = _draw_white(rng, 5000, 2, m)
         for h in (random, self.special_pairs(m)):
             self.assert_close(h)
             self.assert_close(h.transpose(0, 2, 1).copy())
@@ -542,7 +535,7 @@ class TestClosedForms:
     @pytest.mark.parametrize("m", [3, 4, 5])
     def test_three_antennas_both_orientations(self, m):
         rng = np.random.Generator(np.random.Philox(47))
-        random = montecarlo._draw_white(rng, 5000, 3, m)
+        random = _draw_white(rng, 5000, 3, m)
         special = self.special_triples(m, self.TIED_TOP + self.SEPARATED_TOP)
         for h in (random, special):
             self.assert_close(h)
@@ -551,14 +544,14 @@ class TestClosedForms:
     def test_three_antennas_at_extreme_scales(self):
         # unscaled, p^3 would lose digits to underflow near 1e-52
         rng = np.random.Generator(np.random.Philox(59))
-        h = montecarlo._draw_white(rng, 1000, 3, 4)
+        h = _draw_white(rng, 1000, 3, 4)
         for scale in (1e-150, 1e-52, 1e52, 1e150):
             self.assert_close(h * scale)
 
     @pytest.mark.parametrize("m", [3, 4])
     def test_only_unresolved_rows_take_eigvalsh(self, m, monkeypatch):
         rng = np.random.Generator(np.random.Philox(53))
-        random = montecarlo._draw_white(rng, 5000, 3, m)
+        random = _draw_white(rng, 5000, 3, m)
         tied = self.special_triples(m, self.TIED_TOP)
         separated = self.special_triples(m, self.SEPARATED_TOP)
         assert self.recomputed_rows(random, monkeypatch) == 0
@@ -674,7 +667,7 @@ class TestReuse:
         ),
         lambda cfg: montecarlo.mc_outage(cfg, 10.0, 2.0),
         lambda cfg: montecarlo.empirical_cdf(cfg, np.linspace(0.0, 8.0, 9)),
-        lambda cfg: montecarlo.simulate_lambda_max(cfg, workers=1),
+        montecarlo.simulate_lambda_max,
     ]
 
     def test_one_draw_per_config(self, drawn):
@@ -696,7 +689,7 @@ class TestReuse:
     def test_equal_config_draws_again(self, drawn):
         cfg = self.make()
         a = montecarlo.simulate_lambda_max(cfg)
-        assert montecarlo.simulate_lambda_max(cfg, workers=2) is a
+        assert montecarlo.simulate_lambda_max(cfg) is a
         b = montecarlo.simulate_lambda_max(dataclasses.replace(cfg))
         assert b is not a and b.tobytes() == a.tobytes()
         assert len(drawn) == 2 * math.ceil(cfg.trials / montecarlo._BATCH)
@@ -715,12 +708,6 @@ class TestReuse:
         assert samples() is not None
         del cfg
         assert samples() is None
-
-    def test_bad_worker_count_refused_after_a_draw(self):
-        cfg = self.make()
-        montecarlo.simulate_lambda_max(cfg)
-        with pytest.raises(ValidationError, match="workers"):
-            montecarlo.mc_ser(cfg, EIGHT_PSK, 10.0, workers=0)
 
     def test_estimators_import_no_scipy(self):
         code = (
