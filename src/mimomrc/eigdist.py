@@ -320,15 +320,21 @@ def _exp_tail(t: np.ndarray, m: int) -> np.ndarray:
     series = neg > -(m + 1.0)
     if series.all():
         return _tail_series(neg, m)
+    out = np.empty_like(neg)
+    out[series] = _tail_series(neg[series], m)
+    far = ~series
+    out[far] = _subtracted_tail(neg[far], m)
+    return out
+
+
+def _subtracted_tail(neg: np.ndarray, m: int) -> np.ndarray:
+    """exp(-t) minus its order-(m-1) Taylor partial sum, given -t."""
     partial = np.ones_like(neg)
     for k in range(m - 1, 0, -1):
         partial *= neg
         partial /= k
         partial += 1.0
-    out = np.exp(neg) - partial
-    if series.any():
-        out[series] = _tail_series(neg[series], m)
-    return out
+    return np.exp(neg) - partial
 
 
 def _tail_series(neg: np.ndarray, m: int) -> np.ndarray:

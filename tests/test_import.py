@@ -11,7 +11,7 @@ import mimomrc
 SRC = str(Path(mimomrc.__file__).parents[1])
 
 # Loaded by none of the analytic paths: a thread pool (with logging and
-# queue; only a Monte-Carlo draw on two or more workers imports it), exact
+# queue; only Monte-Carlo work on two or more workers imports it), exact
 # rationals (with decimal), and numpy's polynomial classes (the
 # Gauss-Legendre rule is written out).
 UNNEEDED = ["concurrent.futures", "decimal", "fractions", "logging", "numpy.polynomial", "queue"]

@@ -1,12 +1,14 @@
 """Simulator tests: channel statistics, determinism, estimator sanity, and
 the eigenbasis draw against the full-matrix one."""
 
+import contextlib
 import dataclasses
 import itertools
 import math
 import os
 import subprocess
 import sys
+import threading
 import tracemalloc
 import weakref
 from pathlib import Path
@@ -14,7 +16,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from mimomrc import cli, correlation, montecarlo, performance
+from mimomrc import cli, correlation, montecarlo, performance, specfun
 from mimomrc.errors import NumericalError, ValidationError
 
 
@@ -67,6 +69,44 @@ def full_matrix_lambda_max(cfg):
         h = full_matrix_channels(cfg, montecarlo._batch_rng(cfg.seed, index), count)
         out.append(eigvalsh_lambda_max(h))
     return np.concatenate(out)
+
+
+@contextlib.contextmanager
+def switching_often():
+    """Switch threads often, so that a lost or misplaced write would show."""
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        yield
+    finally:
+        sys.setswitchinterval(interval)
+
+
+def serial_ser_estimate(samples, mod, snr_db):
+    """The SER estimator on the calling thread: a*Q(sqrt(2 b snr lambda))
+    by ``specfun.gauss_q``, then each batch's size, mean and sum of
+    squared deviations, merged pairwise in batch order. Returns
+    (estimate, std_error, trials)."""
+    gbar = performance.snr_from_db(snr_db)
+    stats = []
+    for start in range(0, samples.size, montecarlo._BATCH):
+        part = samples[start : start + montecarlo._BATCH]
+        values = mod.a * specfun.gauss_q(np.sqrt(2.0 * mod.b * gbar * part))
+        mean = float(values.mean())
+        stats.append((values.size, mean, float(((values - mean) ** 2).sum())))
+    while len(stats) > 1:
+        merged = []
+        for (n_a, mean_a, m2_a), (n_b, mean_b, m2_b) in zip(stats[::2], stats[1::2]):
+            n = n_a + n_b
+            delta = mean_b - mean_a
+            merged.append(
+                (n, mean_a + delta * n_b / n, m2_a + m2_b + delta * delta * n_a * n_b / n)
+            )
+        if len(stats) % 2:
+            merged.append(stats[-1])
+        stats = merged
+    n, mean, m2 = stats[0]
+    return mean, math.sqrt(m2 / (n - 1) / n) if n > 1 else 0.0, n
 
 
 class TestConfigValidation:
@@ -303,16 +343,11 @@ class TestDeterminism:
 
             serial_samples = montecarlo._draw(cfg(), 1)
             serial = montecarlo.ser_estimate(serial_samples, mod, 8.0)
-            # batches write disjoint slices of one array; switch threads
-            # often so that a lost or misplaced write would show
-            interval = sys.getswitchinterval()
-            sys.setswitchinterval(1e-6)
-            try:
+            # batches write disjoint slices of one array
+            with switching_often():
                 threaded = montecarlo.mc_ser(cfg(), mod, 8.0)
                 threaded_samples = [montecarlo._draw(cfg(), workers) for workers in (2, 3, 4)]
                 threaded_samples.append(montecarlo.simulate_lambda_max(cfg()))
-            finally:
-                sys.setswitchinterval(interval)
             assert (serial.estimate, serial.std_error) == (threaded.estimate, threaded.std_error)
             for samples in threaded_samples:
                 np.testing.assert_array_equal(serial_samples, samples)
@@ -371,20 +406,72 @@ class TestWorkers:
         got = montecarlo.simulate_lambda_max(cfg)
         assert got.tobytes() == want.tobytes()
 
-    def test_memory_bounded_by_the_buffers(self):
-        # Beyond the output, each worker holds one batch's real normals
-        # and _BLOCK rows of imaginary normals, channels and lambda_max
-        # temporaries, together less than two batches' real normals.
+    @pytest.mark.parametrize("size", [1, BATCH - 1, BATCH + 1, 3 * BATCH + 7])
+    def test_pooled_estimator_equals_the_serial_reference(self, size):
+        samples = np.random.default_rng(size).exponential(2.0, size)
+        mod = performance.modulation_preset("8psk")
+        for snr_db in (0.0, 30.0):
+            want = serial_ser_estimate(samples, mod, snr_db)
+            with switching_often():
+                got = [montecarlo._ser_estimate(samples, mod, snr_db, w) for w in (1, 2, 3, 4)]
+            for workers, result in zip((1, 2, 3, 4), got):
+                assert (result.estimate, result.std_error, result.trials) == want, (snr_db, workers)
+
+    def test_estimator_worker_error_reaches_the_caller(self, monkeypatch):
+        samples = np.random.default_rng(12).exponential(1.0, 3 * self.BATCH)
+        mod = performance.modulation_preset("qpsk")
+        want = montecarlo._ser_estimate(samples, mod, 10.0, 1)
+        kernel = montecarlo.gauss_q_upper_into
+        calls = itertools.count()
+
+        def failing(*args):
+            if next(calls) == 2:  # the third batch, whichever worker takes it
+                raise NumericalError("injected")
+            return kernel(*args)
+
+        with monkeypatch.context() as patch:
+            patch.setattr(montecarlo, "gauss_q_upper_into", failing)
+            with pytest.raises(NumericalError, match="injected"):
+                montecarlo._ser_estimate(samples, mod, 10.0, 2)
+        assert montecarlo._ser_estimate(samples, mod, 10.0, 2) == want
+
+    def test_memory_bounded_by_the_buffers(self, monkeypatch):
+        # Beyond the output, each drawing worker holds one batch's real
+        # normals and _BLOCK rows of imaginary normals, channels and
+        # lambda_max temporaries, together less than two batches' real
+        # normals. The estimating workers compute in the buffers that the
+        # calling thread allocates, four batches' worth each, and nothing
+        # else of batch size.
         cfg = montecarlo.McConfig(n_rx=3, n_tx=3, rho_rx=0.5, trials=1 << 20, seed=3)
         workers = 2
-        plane = 8 * self.BATCH * cfg.n_rx * cfg.n_tx
+        batch = 8 * self.BATCH
+        plane = batch * cfg.n_rx * cfg.n_tx
+        allocated = []
+        run_batches = montecarlo._run_batches
+
+        def recording(batches, workers, allocate, run):
+            def recorded():
+                buffers = allocate()
+                allocated.append((threading.get_ident(), sum(b.nbytes for b in buffers)))
+                return buffers
+
+            return run_batches(batches, workers, recorded, run)
+
+        monkeypatch.setattr(montecarlo, "_run_batches", recording)
         tracemalloc.start()
         try:
-            montecarlo._draw(cfg, workers)
+            samples = montecarlo._draw(cfg, workers)
             peak = tracemalloc.get_traced_memory()[1]
+            allocated.clear()
+            tracemalloc.reset_peak()
+            before = tracemalloc.get_traced_memory()[0]
+            montecarlo._ser_estimate(samples, performance.modulation_preset("8psk"), 10.0, workers)
+            growth = tracemalloc.get_traced_memory()[1] - before
         finally:
             tracemalloc.stop()
         assert peak <= 8 * cfg.trials + 2 * workers * plane, peak / plane
+        assert allocated == [(threading.get_ident(), 4 * batch)] * workers
+        assert growth <= workers * 4 * batch + batch // 8, growth / batch
 
 
 class TestCorrelationChecks:
@@ -620,6 +707,37 @@ class TestEstimators:
         for row in rows:
             r = montecarlo.mc_outage(cfg, 5.0, 10.0 ** (float(row[0]) / 10.0))
             assert (float(row[3]), float(row[4])) == (r.estimate, r.std_error)
+
+    BAD_SAMPLES = {
+        "empty": np.array([]),
+        "scalar": np.float64(1.0),
+        "2-D": np.ones((2, 3)),
+        "NaN": np.array([1.0, math.nan]),
+        "+inf": np.array([1.0, math.inf]),
+        "-inf": np.array([-math.inf, 1.0]),
+        "negative": np.array([1.0, -1e-300]),
+    }
+
+    @pytest.mark.parametrize("samples", BAD_SAMPLES.values(), ids=BAD_SAMPLES.keys())
+    def test_bad_samples_refused(self, samples):
+        with pytest.raises(ValidationError, match="samples must be"):
+            montecarlo.ser_estimate(samples, EIGHT_PSK, 10.0)
+        with pytest.raises(ValidationError, match="samples must be"):
+            montecarlo.outage_estimate(samples, 10.0, 2.0)
+
+    def test_zero_samples_accepted(self):
+        samples = np.array([0.0, -0.0, 2.0])
+        assert montecarlo.ser_estimate(samples, EIGHT_PSK, 10.0).trials == 3
+        assert montecarlo.outage_estimate(samples, 0.0, 1.0).estimate == 2 / 3
+
+    def test_estimates_are_python_floats(self):
+        samples = np.random.default_rng(6).exponential(1.0, 1000)
+        for result in (
+            montecarlo.ser_estimate(samples, EIGHT_PSK, 10.0),
+            montecarlo.outage_estimate(samples, 0.0, 1.0),
+        ):
+            assert type(result.estimate) is float and type(result.std_error) is float
+            assert type(result.trials) is int
 
     def test_one_draw_serves_every_point(self):
         cfg = montecarlo.McConfig(n_rx=3, n_tx=2, rho_tx=0.5, trials=70_000, seed=4)
