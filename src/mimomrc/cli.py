@@ -110,8 +110,9 @@ def _with_mc(args, model, header, rows, points, estimate):
 
     One set of channel draws, from the matrices the model was built on,
     serves every sweep point (common random numbers); the per-point
-    standard error is still exact. ``estimate(samples, point)`` gives the
-    :class:`~mimomrc.montecarlo.McResult` of one row.
+    standard error is still exact. ``estimate(samples, points)`` gives
+    the :class:`~mimomrc.montecarlo.McResult` of every row, in one call
+    per sweep.
     """
     if not args.with_mc:
         return header, rows
@@ -124,7 +125,7 @@ def _with_mc(args, model, header, rows, points, estimate):
         seed=args.seed,
     )
     lam = montecarlo.simulate_lambda_max(cfg)
-    results = [estimate(lam, point) for point in points]
+    results = estimate(lam, points)
     return header + ["mc", "mc_stderr"], [
         row + (r.estimate, r.std_error) for row, r in zip(rows, results)
     ]
@@ -173,7 +174,7 @@ def _cmd_ser(parser, args) -> int:
     ]
     header, rows = _with_mc(
         args, model, ["snr_db", "exact", "asymptote"], rows, snrs_db,
-        lambda lam, snr_db: montecarlo.ser_estimate(lam, mod, snr_db),
+        lambda lam, snrs: [montecarlo.ser_estimate(lam, mod, snr_db) for snr_db in snrs],
     )
     _emit(args, header, rows)
     return 0
@@ -191,7 +192,7 @@ def _cmd_outage(parser, args) -> int:
     ]
     header, rows = _with_mc(
         args, model, ["gamma_th_db", "exact", "asymptotic"], rows, gammas,
-        lambda lam, gamma_th: montecarlo.outage_estimate(lam, args.snr_db, gamma_th),
+        lambda lam, gammas: montecarlo.outage_estimate(lam, args.snr_db, gammas),
     )
     _emit(args, header, rows)
     return 0

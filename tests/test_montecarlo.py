@@ -71,6 +71,104 @@ def full_matrix_lambda_max(cfg):
     return np.concatenate(out)
 
 
+def complex_block_lambda_max(h):
+    """The simulator's λmax kernel on complex (count, n_rx, n_tx) blocks,
+    as it was before it moved to real planes: einsum sums over the
+    complex block, the closed forms up to three antennas (with eigvalsh
+    for the rows the cubic's root cannot resolve) and eigvalsh from four.
+    The reference for the bits of every sample. Its three-antenna sums
+    run through einsum's SIMD loop, whose order the planar kernel keeps
+    for 128-bit SIMD (numpy's x86-64 baseline); a build whose baseline
+    has wider vectors would sum them in another order."""
+    h = np.asarray(h)
+    if h.shape[1] > h.shape[2]:
+        h = h.transpose(0, 2, 1)
+    n = h.shape[1]
+    if n == 1:
+        return np.einsum("bij,bij->b", h.real, h.real) + np.einsum("bij,bij->b", h.imag, h.imag)
+    if n == 2:
+        power = np.einsum("bij,bij->bi", h.real, h.real) + np.einsum("bij,bij->bi", h.imag, h.imag)
+        cross = np.einsum("bj,bj->b", h[:, 0], h[:, 1].conj())
+        half_gap = 0.5 * (power[:, 0] - power[:, 1])
+        return 0.5 * (power[:, 0] + power[:, 1]) + np.sqrt(
+            half_gap * half_gap + cross.real * cross.real + cross.imag * cross.imag
+        )
+    if n == 3:
+        return _complex_block_lambda_max_three(h)
+    return _complex_block_gram_lambda_max(h)
+
+
+def _complex_block_gram_lambda_max(h):
+    return np.linalg.eigvalsh(np.einsum("bij,bkj->bik", h, h.conj()))[:, -1]
+
+
+def _complex_block_lambda_max_three(h):
+    h = np.ascontiguousarray(h)
+    count, _, m = h.shape
+    pairs = h.view(np.float64).reshape(count, 3, 2 * m)
+    re, im = h.real, h.imag
+    a0, a1, a2 = np.einsum("bij,bij->ib", pairs, pairs)
+    q = (a0 + a1 + a2) / 3.0
+    with np.errstate(divide="ignore", invalid="ignore"):
+        inv_q = 1.0 / q
+        d0, d1, d2 = (a0 - q) * inv_q, (a1 - q) * inv_q, (a2 - q) * inv_q
+
+        def cross(i, k):
+            x = np.einsum("bj,bj->b", pairs[:, i], pairs[:, k])
+            y = np.einsum("bj,bj->b", im[:, i], re[:, k])
+            y -= np.einsum("bj,bj->b", re[:, i], im[:, k])
+            return x * inv_q, y * inv_q
+
+        (x01, y01), (x12, y12), (x02, y02) = cross(0, 1), cross(1, 2), cross(0, 2)
+        s01 = x01 * x01 + y01 * y01
+        s12 = x12 * x12 + y12 * y12
+        s02 = x02 * x02 + y02 * y02
+        p2 = (d0 * d0 + d1 * d1 + d2 * d2 + 2.0 * (s01 + s12 + s02)) / 6.0
+        p = np.sqrt(p2)
+        cycle = (x01 * x12 - y01 * y12) * x02 + (x01 * y12 + y01 * x12) * y02
+        det = d0 * d1 * d2 + 2.0 * cycle - d0 * s12 - d1 * s02 - d2 * s01
+        r = det / (2.0 * p2 * p)
+        lam = q * (1.0 + 2.0 * p * np.cos(np.arccos(np.clip(r, -1.0, 1.0)) / 3.0))
+        recompute = ~((1.0 + r >= montecarlo._TIE_LIMIT) & (p > montecarlo._SPREAD_LIMIT))
+    if recompute.any():
+        lam[recompute] = _complex_block_gram_lambda_max(h[recompute])
+    return lam
+
+
+def complex_block_draw(cfg):
+    """The config's samples as the simulator drew them on complex blocks:
+    each batch's real normals whole, then its imaginary normals and
+    λmax by :func:`complex_block_lambda_max`, ``_BLOCK`` rows at a time."""
+    rx, tx = montecarlo.corr_matrices(cfg)
+    std = np.sqrt(0.5 * np.outer(
+        correlation.correlation_eigenvalues(rx, "receive"),
+        correlation.correlation_eigenvalues(tx, "transmit"),
+    ))
+    out = []
+    for index, start in enumerate(range(0, cfg.trials, montecarlo._BATCH)):
+        count = min(montecarlo._BATCH, cfg.trials - start)
+        rng = montecarlo._batch_rng(cfg.seed, index)
+        real = rng.standard_normal((count, cfg.n_rx, cfg.n_tx))
+        for lo in range(0, count, montecarlo._BLOCK):
+            h = np.empty((min(montecarlo._BLOCK, count - lo), cfg.n_rx, cfg.n_tx), complex)
+            h.real = real[lo : lo + len(h)]
+            h.imag = rng.standard_normal(h.shape)
+            h *= std
+            out.append(complex_block_lambda_max(h))
+    return np.concatenate(out)
+
+
+def planar_lambda_max(h):
+    """The simulator's kernel, ``montecarlo._planar_lambda_max``, on the
+    planes of a (count, n_rx, n_tx) batch of channels."""
+    h = np.asarray(h, dtype=complex).transpose(montecarlo._plane_axes(*h.shape[1:]))
+    out = np.empty(h.shape[2])
+    montecarlo._planar_lambda_max(
+        np.array((h.real, h.imag), order="C"), out, *montecarlo._planar_work(h.shape[0], h.shape[2])
+    )
+    return out
+
+
 @contextlib.contextmanager
 def switching_often():
     """Switch threads often, so that a lost or misplaced write would show."""
@@ -303,6 +401,65 @@ class TestMcOutage:
         with pytest.raises(ValidationError):
             montecarlo.mc_outage(cfg, 0.0, 0.0)
 
+    def test_threshold_array_equals_one_call_per_threshold(self):
+        cfg = montecarlo.McConfig(n_rx=2, n_tx=3, rho_rx=0.5, trials=70_001, seed=15)
+        samples = montecarlo.simulate_lambda_max(cfg)
+        gammas = 10.0 ** (np.linspace(-10.0, 12.0, 19) / 10.0)
+        for snr_db in (0.0, 7.5):
+            want = [montecarlo.outage_estimate(samples, snr_db, g) for g in gammas]
+            for got in (
+                montecarlo.outage_estimate(samples, snr_db, gammas),
+                montecarlo.outage_estimate(samples, snr_db, gammas.tolist()),
+                montecarlo.mc_outage(cfg, snr_db, gammas),
+            ):
+                assert [(r.estimate, r.std_error, r.trials) for r in got] == [
+                    (r.estimate, r.std_error, r.trials) for r in want
+                ]
+        assert montecarlo.outage_estimate(samples, 7.5, gammas[:1]) == want[:1]
+        assert montecarlo.outage_estimate(samples, 0.0, np.array([])) == []
+
+    def test_samples_checked_once_per_call(self, monkeypatch):
+        samples = np.random.default_rng(8).exponential(1.0, 1000)
+        checked = []
+        check = montecarlo._checked_samples
+
+        def counting(values):
+            checked.append(1)
+            return check(values)
+
+        monkeypatch.setattr(montecarlo, "_checked_samples", counting)
+        assert len(montecarlo.outage_estimate(samples, 0.0, np.geomspace(0.1, 10.0, 19))) == 19
+        assert len(checked) == 1
+
+    @pytest.mark.parametrize("gammas, bad", [
+        ([1.0, 0.0, 2.0], "0.0"),
+        ([1.0, 2.0, -3.0], "-3.0"),
+        ([math.nan, 1.0], "nan"),
+        ([1.0, math.inf], "inf"),
+    ])
+    def test_bad_threshold_anywhere_refused_before_counting(self, gammas, bad, monkeypatch, drawn):
+        samples = np.random.default_rng(9).exponential(1.0, 1000)
+        cfg = montecarlo.McConfig(n_rx=2, n_tx=2, trials=1000, seed=9)
+        counts = []
+        count_nonzero = np.count_nonzero
+
+        def counting(*args, **kwargs):
+            counts.append(1)
+            return count_nonzero(*args, **kwargs)
+
+        monkeypatch.setattr(np, "count_nonzero", counting)
+        for call in (
+            lambda: montecarlo.outage_estimate(samples, 0.0, gammas),
+            lambda: montecarlo.mc_outage(cfg, 0.0, np.array(gammas)),
+        ):
+            with pytest.raises(ValidationError, match=f"threshold must be positive, got {bad}"):
+                call()
+        assert counts == [] and drawn == []
+
+    def test_threshold_matrix_refused(self):
+        with pytest.raises(ValidationError, match="1-D array"):
+            montecarlo.outage_estimate(np.ones(10), 0.0, np.ones((2, 2)))
+
 
 class TestDeterminism:
     def test_same_seed_bit_identical(self):
@@ -357,50 +514,49 @@ class TestWorkers:
     BATCH = montecarlo._BATCH
     BLOCK = montecarlo._BLOCK
 
-    @pytest.mark.parametrize("n_rx, n_tx", [
-        (1, 4), (4, 1), (2, 3), (3, 2), (3, 3), (3, 4), (4, 3), (4, 4),
-    ])
+    @pytest.mark.parametrize("n_rx, n_tx", itertools.product(range(1, 5), range(1, 5)))
     def test_pooled_blocks_equal_the_reference_draw(self, n_rx, n_tx):
-        # the reference draws each batch whole with _draw_white, real
-        # block then imaginary block; the pooled, block-wise draw must give
-        # every sample the same bits at any worker count
+        # the planar, pooled draw gives every sample the bits of the
+        # complex-block draw, at any worker count; so does lambda_max on
+        # a whole batch at once, the batch's channels drawn whole with
+        # _draw_white, real block then imaginary block
         for trials in (1, self.BLOCK - 1, self.BLOCK + 1, 70_001, 150_001):
             cfg = montecarlo.McConfig(
                 n_rx=n_rx, n_tx=n_tx, rho_rx=0.5, rho_tx=0.3, trials=trials, seed=1799
             )
+            want = complex_block_draw(cfg)
+            for workers in (1, 2):
+                got = montecarlo._draw(cfg, workers)
+                assert got.tobytes() == want.tobytes(), (trials, workers)
             rx, tx = montecarlo.corr_matrices(cfg)
             std = np.sqrt(0.5 * np.outer(
                 correlation.correlation_eigenvalues(rx, "receive"),
                 correlation.correlation_eigenvalues(tx, "transmit"),
             ))
-            want = []
+            whole = []
             for index, start in enumerate(range(0, trials, self.BATCH)):
                 count = min(self.BATCH, trials - start)
                 rng = montecarlo._batch_rng(cfg.seed, index)
-                h = _draw_white(rng, count, n_rx, n_tx, std)
-                want.append(montecarlo.lambda_max(h))
-            want = np.concatenate(want)
-            for workers in (1, 2, 3, 4):
-                got = montecarlo._draw(cfg, workers)
-                assert got.tobytes() == want.tobytes(), (trials, workers)
+                whole.append(montecarlo.lambda_max(_draw_white(rng, count, n_rx, n_tx, std)))
+            assert np.concatenate(whole).tobytes() == want.tobytes(), trials
 
     def test_worker_error_reaches_the_caller(self, monkeypatch):
         # a worker thread's error is raised again by the draw, and the
         # config keeps no draw, so the next call draws it whole
         cfg = montecarlo.McConfig(n_rx=2, n_tx=2, trials=3 * self.BATCH, seed=11)
         want = montecarlo._draw(cfg, 1)
-        lambda_max = montecarlo.lambda_max
+        kernel = montecarlo._planar_lambda_max
 
         for draw in (lambda: montecarlo._draw(cfg, 2), lambda: montecarlo.simulate_lambda_max(cfg)):
             calls = itertools.count()
 
-            def failing(h):
+            def failing(*args):
                 if next(calls) == 8:  # the ninth block, whichever worker draws it
                     raise NumericalError("injected")
-                return lambda_max(h)
+                return kernel(*args)
 
             with monkeypatch.context() as patch:
-                patch.setattr(montecarlo, "lambda_max", failing)
+                patch.setattr(montecarlo, "_planar_lambda_max", failing)
                 with pytest.raises(NumericalError, match="injected"):
                     draw()
         got = montecarlo.simulate_lambda_max(cfg)
@@ -606,7 +762,7 @@ class TestClosedForms:
 
     @staticmethod
     def recomputed_rows(h, monkeypatch):
-        """How many rows of h lambda_max hands to eigvalsh."""
+        """How many rows of h the simulator's kernel hands to eigvalsh."""
         seen = []
         eigvalsh = np.linalg.eigvalsh
 
@@ -616,7 +772,7 @@ class TestClosedForms:
 
         with monkeypatch.context() as patch:
             patch.setattr(np.linalg, "eigvalsh", counting)
-            montecarlo.lambda_max(h)
+            planar_lambda_max(h)
         return sum(seen)
 
     @pytest.mark.parametrize("m", [3, 4, 5])
@@ -647,6 +803,28 @@ class TestClosedForms:
 
     def test_zero_channel(self):
         assert np.array_equal(montecarlo.lambda_max(np.zeros((2, 3, 4), complex)), [0.0, 0.0])
+
+
+class TestLambdaMaxInput:
+    """lambda_max takes any numeric (count, n_rx, n_tx) array as complex128."""
+
+    @pytest.mark.parametrize("shape", [(5, 3, 3), (5, 3, 4), (5, 4, 3)])
+    @pytest.mark.parametrize("dtype", [np.float64, np.int64, np.complex64])
+    def test_non_complex128_input(self, shape, dtype):
+        rng = np.random.default_rng(61)
+        h = rng.standard_normal(shape) * 4.0
+        if dtype == np.complex64:
+            h = h + 1j * rng.standard_normal(shape)
+        h = h.astype(dtype)
+        got = montecarlo.lambda_max(h)
+        assert got.tobytes() == montecarlo.lambda_max(h.astype(np.complex128)).tobytes()
+        want = eigvalsh_lambda_max(h.astype(np.complex128))
+        assert np.max(np.abs(got / want - 1.0)) <= 1e-13
+
+    @pytest.mark.parametrize("shape", [(), (3,), (3, 3), (2, 3, 3, 3), (5, 0, 3), (5, 3, 0)])
+    def test_refuses_anything_but_channels(self, shape):
+        with pytest.raises(ValidationError, match="channels must be"):
+            montecarlo.lambda_max(np.ones(shape))
 
 
 # Fixed before any run: one seed per case for each route.
@@ -707,6 +885,22 @@ class TestEstimators:
         for row in rows:
             r = montecarlo.mc_outage(cfg, 5.0, 10.0 ** (float(row[0]) / 10.0))
             assert (float(row[3]), float(row[4])) == (r.estimate, r.std_error)
+
+    def test_cli_estimates_each_sweep_in_one_call(self, capsys, monkeypatch):
+        calls = []
+        for name in ("outage_estimate", "ser_estimate"):
+            estimate = getattr(montecarlo, name)
+
+            def counting(*args, name=name, estimate=estimate):
+                calls.append(name)
+                return estimate(*args)
+
+            monkeypatch.setattr(montecarlo, name, counting)
+        flags = ["--nr", "2", "--nt", "2", "--with-mc", "--trials", "5000", "--seed", "3"]
+        assert cli.main(["outage", *flags, "--snr-db", "5", "--sweep", "0:10:7"]) == 0
+        assert calls == ["outage_estimate"]
+        rows = capsys.readouterr().out.splitlines()[1:]
+        assert len(rows) == 7 and all(len(row.split(",")) == 5 for row in rows)
 
     BAD_SAMPLES = {
         "empty": np.array([]),
