@@ -174,7 +174,7 @@ def _cmd_ser(parser, args) -> int:
     ]
     header, rows = _with_mc(
         args, model, ["snr_db", "exact", "asymptote"], rows, snrs_db,
-        lambda lam, snrs: [montecarlo.ser_estimate(lam, mod, snr_db) for snr_db in snrs],
+        lambda lam, snrs: montecarlo.ser_estimate(lam, mod, snrs),
     )
     _emit(args, header, rows)
     return 0

@@ -14,15 +14,17 @@ eigenvalue of the Gram matrix on the smaller side in closed form for up
 to three antennas there, by ``eigvalsh`` from four. For three the
 closed form is the trigonometric root of the characteristic cubic; the
 rows where it would lose accuracy (a near-tied top pair, or three nearly
-equal eigenvalues) are recomputed by ``eigvalsh``. The Gram matrices
-are formed on real planes, the channels' real and imaginary parts laid
-out (n_min, n_max, rows) with the rows innermost, a column at a time in
-a fixed order (see :func:`_planar_lambda_max`).
+equal eigenvalues) are recomputed by ``eigvalsh``. One routine forms
+the Gram entries for every antenna count, on real planes (the channels'
+real and imaginary parts laid out (n_min, n_max, rows), rows innermost):
+each column's term first, the columns added left to right (see
+:func:`_gram_entries`).
 
 Trials are partitioned into fixed-size batches, each driven by its own
 jumped Philox stream keyed by (seed, batch index), and batch statistics
 are merged with a pairwise scheme, so results are bit-identical for a
-given (config, seed) regardless of how many workers process the batches.
+given (config, seed) regardless of how many workers process the batches
+or how a batch is split into blocks; not across versions of the package.
 The draw and the SER estimator spread their batches over every CPU the
 process may run on, one worker thread each, through one batch runner;
 the CPU affinity mask is what limits them. Each worker computes in
@@ -177,61 +179,54 @@ def _plane_axes(n_rx: int, n_tx: int) -> tuple[int, int, int]:
     return (1, 2, 0) if n_rx <= n_tx else (2, 1, 0)
 
 
-# Rows of sums and temporaries that the kernel needs for n = 1, 2 and 3
-# antennas on the smaller side; from four it needs 8n.
-_CLOSED_FORM_ROWS = {1: 4, 2: 16, 3: 31}
-
-
 def _planar_work(n: int, rows: int) -> tuple[np.ndarray, ...]:
     """Work buffers of :func:`_planar_lambda_max` for up to ``rows`` rows
-    of channels with ``n`` antennas on the smaller side: rows of sums and
-    temporaries, then from four antennas a complex (n, n, rows) Gram
-    matrix, zeroed."""
-    if n in _CLOSED_FORM_ROWS:
-        return (np.empty((_CLOSED_FORM_ROWS[n], rows)),)
-    return np.empty((8 * n, rows)), np.zeros((n, n, rows), dtype=np.complex128)
+    of channels with ``n`` antennas on the smaller side: the rows of
+    :func:`_gram_entries`, then from four antennas a complex (n, n, rows)
+    Gram matrix, zeroed."""
+    flat = np.empty((n * (n + 7), rows))
+    if n <= 3:
+        return (flat,)
+    return flat, np.zeros((n, n, rows), dtype=np.complex128)
 
 
-# Each Gram entry is a sum over the m columns, one ufunc call per column
-# on whole rows of the planes, so that every sample is a function of its
-# own channel alone; einsum's reduction order depends on the operands'
-# shapes and on the SIMD width of the numpy build. The orders are fixed to
-# those that the package's earlier complex-block einsum kernel took on a
-# build with 128-bit SIMD, so that a seed's samples keep their bits: left
-# to right, except for the diagonal and the real cross terms of three
-# antennas, where each block of four columns is added right to left,
-# then the remaining columns left to right.
-def _in_pair_order(m: int) -> list[int]:
-    whole = m - m % 4
-    blocks = [j for lo in range(0, whole, 4) for j in range(lo + 3, lo - 1, -1)]
-    return blocks + list(range(whole, m))
+def _gram_entries(planes: np.ndarray, flat: np.ndarray) -> np.ndarray:
+    """The Gram entries A_ik = sum_j h_ij conj(h_kj), i >= k, of the
+    channels whose real and imaginary parts are the (2, n, m, rows)
+    ``planes``, as the re and im parts (2, n(n+1)/2, rows) in the first
+    n(n+1) rows of ``flat``; the next 6n rows are scratch, free again on
+    return. The entries are the diagonal, then each subdiagonal
+    (i, k) = (d, 0), (d + 1, 1), ... in turn; the diagonal's im parts,
+    zero, are not written.
 
-
-def _dot_sum(first: np.ndarray, second: np.ndarray, order, out: np.ndarray, tmp) -> None:
-    """``out`` (..., rows) = the sum over the columns j, added in
-    ``order``, of ``first[..., j, :] * second[..., j, :]``, for two
-    (..., m, rows) planes; re and im stay apart."""
-    for step, j in enumerate(order):
-        np.multiply(first[..., j, :], second[..., j, :], out=tmp if step else out)
-        if step:
-            out += tmp
-
-
-def _cross_sum(h_i: np.ndarray, h_k: np.ndarray, out: np.ndarray, products, tmp) -> None:
-    """``out`` (2, k, rows) = the re and im parts of the sum over the
-    columns j, left to right, of h_ij conj(h_kj), for two (2, k, m, rows)
-    sets of plane rows; each column's term is formed first. ``products``
-    (2, 2, k, rows) and ``tmp`` (2, k, rows) are scratch."""
-    swapped = h_i[::-1]  # (im, re)
-    for j in range(h_i.shape[2]):
-        # (re_i re_k, im_i im_k) and (im_i re_k, re_i im_k)
-        np.multiply(h_i[:, :, j], h_k[:, :, j], out=products[0])
-        np.multiply(swapped[:, :, j], h_k[:, :, j], out=products[1])
-        term = tmp if j else out
-        np.add(products[0, 0], products[0, 1], out=term[0])
-        np.subtract(products[1, 0], products[1, 1], out=term[1])
-        if j:
-            out += tmp
+    Each column's term is formed first, and the m columns are added left
+    to right, one ufunc call per column on whole rows of the planes, so
+    every sample is a function of its own channel alone (einsum's order
+    depends on the operands' shapes and on the SIMD width of the build).
+    """
+    _, n, m, rows = planes.shape
+    size = n * (n + 1) // 2
+    sums = flat[: 2 * size].reshape(2, size, rows)
+    products = flat[2 * size : 2 * size + 4 * n].reshape(2, 2, n, rows)
+    tmp = flat[2 * size + 4 * n : 2 * size + 6 * n].reshape(2, n, rows)
+    swapped = planes[::-1]  # (im, re)
+    at = 0
+    for d in range(n):
+        k = n - d
+        parts = 2 if d else 1
+        h_i, h_k, prod = planes[:, d:], planes[:, :k], products[:, :, :k]
+        for j in range(m):
+            term = tmp[:, :k] if j else sums[:, at : at + k]
+            # (re_i re_k, im_i im_k) and (im_i re_k, re_i im_k)
+            np.multiply(h_i[:, :, j], h_k[:, :, j], out=prod[0])
+            np.add(prod[0, 0], prod[0, 1], out=term[0])
+            if d:
+                np.multiply(swapped[:, d:, j], h_k[:, :, j], out=prod[1])
+                np.subtract(prod[1, 0], prod[1, 1], out=term[1])
+            if j:
+                sums[:parts, at : at + k] += term[:parts]
+        at += k
+    return sums
 
 
 def _planar_lambda_max(planes: np.ndarray, out: np.ndarray, flat: np.ndarray, gram=None) -> None:
@@ -241,11 +236,11 @@ def _planar_lambda_max(planes: np.ndarray, out: np.ndarray, flat: np.ndarray, gr
     rows contiguous. ``flat`` and ``gram`` are the buffers of
     :func:`_planar_work`.
 
-    The Gram entries are sums of products of whole plane rows, a column
-    at a time, and go to the closed forms of :func:`lambda_max` for up to
-    three antennas, to ``eigvalsh`` from four.
+    The Gram entries come from :func:`_gram_entries` and go to the closed
+    forms of :func:`lambda_max` for up to three antennas, to ``eigvalsh``
+    from four.
     """
-    _, n, m, rows = planes.shape
+    _, n, _, rows = planes.shape
     flat = flat[:, :rows]
     if n == 3:
         _three_lambda_max(planes, out, flat)
@@ -253,20 +248,16 @@ def _planar_lambda_max(planes: np.ndarray, out: np.ndarray, flat: np.ndarray, gr
     if n > 3:
         out[:] = _gram_lambda_max(planes, flat, gram[..., :rows])
         return
-    # the squared row norms, their re and im parts summed apart
-    power, tmp = flat[: 4 * n].reshape(2, 2, n, rows)
-    _dot_sum(planes, planes, range(m), power, tmp)
+    sums = _gram_entries(planes, flat)
     if n == 1:
-        np.add(power[0, 0], power[1, 0], out=out)
+        out[:] = sums[0, 0]
         return
-    power = np.add(power[0], power[1], out=power[0])
-    # b = sum_j h_0j conj(h_1j), with (re, im) = cross
-    cross, products, half_gap, mean = flat[8:10], flat[10:14], flat[14], flat[15]
-    products = products.reshape(2, 2, 1, rows)
-    _cross_sum(planes[:, :1], planes[:, 1:], cross[:, None], products, tmp[:, :1])
-    np.subtract(power[0], power[1], out=half_gap)
+    # a = A_00, d = A_11 and b = A_10, with (re, im) = cross
+    (a, d), cross = sums[0, :2], sums[:, 2]
+    half_gap, mean = flat[6:8]
+    np.subtract(a, d, out=half_gap)
     half_gap *= 0.5
-    np.add(power[0], power[1], out=mean)
+    np.add(a, d, out=mean)
     mean *= 0.5
     np.multiply(half_gap, half_gap, out=out)
     for term in cross:
@@ -278,19 +269,16 @@ def _planar_lambda_max(planes: np.ndarray, out: np.ndarray, flat: np.ndarray, gr
 
 def _gram_lambda_max(planes: np.ndarray, flat: np.ndarray, gram: np.ndarray) -> np.ndarray:
     """Largest eigenvalue of each h h^H, by ``eigvalsh``, for the planes
-    (2, n, m, rows), with ``8n`` rows of ``flat`` and the complex
-    (n, n, rows) ``gram`` to work in. Only the lower triangle, which
-    ``eigvalsh`` reads, is written."""
-    _, n, _, rows = planes.shape
-    sums, tmp = flat[: 4 * n].reshape(2, 2, n, rows)
-    products = flat[4 * n : 8 * n].reshape(2, 2, n, rows)
-    for d in range(n):
-        k = n - d
-        below = np.arange(k)
-        # the d-th subdiagonal, A_(i+d)i = sum_j h_(i+d)j conj(h_ij)
-        _cross_sum(planes[:, d:], planes[:, :k], sums[:, :k], products[:, :, :k], tmp[:, :k])
-        gram.real[below + d, below] = sums[0, :k]
-        gram.imag[below + d, below] = sums[1, :k]
+    (2, n, m, rows), with the buffers of :func:`_planar_work`: ``flat``
+    and the complex (n, n, rows) ``gram``, zeroed. Only the lower
+    triangle, which ``eigvalsh`` reads, is written, and the diagonal's
+    im parts stay zero."""
+    n = planes.shape[1]
+    sums = _gram_entries(planes, flat)
+    # (i, k) of each entry, in the order _gram_entries writes them
+    i, k = np.array([(d + j, j) for d in range(n) for j in range(n - d)]).T
+    gram.real[i, k] = sums[0]
+    gram.imag[i[n:], k[n:]] = sums[1, n:]
     return np.linalg.eigvalsh(gram.transpose(2, 0, 1))[:, -1]
 
 
@@ -319,23 +307,12 @@ def _three_lambda_max(planes: np.ndarray, out: np.ndarray, flat: np.ndarray) -> 
     is inaccurate, r too close to -1 or p/q too small, are recomputed by
     ``eigvalsh``.
     """
-    m, rows = planes.shape[2:]
-    # a_i = A_ii, and A_ik = x + iy for the pairs (0, 1), (1, 2), (0, 2),
-    # each summed first as two parts
-    diag, real, imag, tmp = flat[:24].reshape(4, 2, 3, rows)
-    q, inv_q, p2, p, cycle, u, r = flat[24:31]
-    order = _in_pair_order(m)
-    _dot_sum(planes, planes, order, diag, tmp)
-    swapped = planes[::-1]  # (im, re)
-    pairs = ((slice(0, 2), slice(1, 3), slice(0, 2)), (slice(0, 1), slice(2, 3), slice(2, 3)))
-    for i, k, at in pairs:
-        # (re_i re_k, im_i im_k) and (im_i re_k, re_i im_k)
-        _dot_sum(planes[:, i], planes[:, k], order, real[:, at], tmp[:, at])
-        _dot_sum(swapped[:, i], planes[:, k], range(m), imag[:, at], tmp[:, at])
-    a = np.add(diag[0], diag[1], out=diag[0])
-    x = np.add(real[0], real[1], out=real[0])
-    y = np.subtract(imag[0], imag[1], out=imag[0])
-    squares, (s, part) = diag[1], tmp
+    rows = planes.shape[3]
+    sums = _gram_entries(planes, flat)
+    # a_i = A_ii, and A_ik = x + iy for (i, k) = (1, 0), (2, 1), (2, 0)
+    a, x, y = sums[0, :3], sums[0, 3:], sums[1, 3:]
+    s, part, squares = flat[12:21].reshape(3, 3, rows)
+    q, inv_q, p2, p, cycle, u, r = flat[21:28]
     np.add(a[0], a[1], out=q)
     q += a[2]
     q /= 3.0
@@ -394,9 +371,8 @@ def _three_lambda_max(planes: np.ndarray, out: np.ndarray, flat: np.ndarray) -> 
     if not resolved.all():
         again = ~resolved
         count = int(np.count_nonzero(again))
-        out[again] = _gram_lambda_max(
-            planes[..., again], np.empty((24, count)), np.zeros((3, 3, count), dtype=np.complex128)
-        )
+        gram = np.zeros((3, 3, count), dtype=np.complex128)
+        out[again] = _gram_lambda_max(planes[..., again], *_planar_work(3, count), gram)
 
 
 def _worker_count() -> int:
@@ -424,8 +400,8 @@ def simulate_lambda_max(cfg: McConfig) -> np.ndarray:
     draws into buffers this thread allocates before the pool starts: one
     batch's real normals (``n_rx·n_tx·0.5`` MB), ``_BLOCK`` rows of
     imaginary normals, the two planes of ``_BLOCK`` channels and the
-    λmax kernel's work buffers. A worker holds 1.6 MB beyond the real
-    normals on 2x2, 3.6 MB on 3x3 and 6.6 MB on 4x4, besides the
+    λmax kernel's work buffers. A worker holds 1.9 MB beyond the real
+    normals on 2x2, 3.6 MB on 3x3 and 7.8 MB on 4x4, besides the
     (trials,) output. Raises
     ``ValidationError`` for a correlation matrix that
     :func:`~mimomrc.correlation.make_pair` refuses too (see
@@ -509,7 +485,7 @@ def _run_batches(batches: int, workers: int, allocate, run) -> None:
 
         with ThreadPoolExecutor(max_workers=workers) as pool:
             list(pool.map(work, range(workers)))
-    else:
+    elif workers:
         work(0)
 
 
@@ -557,43 +533,49 @@ def _checked_samples(samples) -> np.ndarray:
     return samples
 
 
-def ser_estimate(samples: np.ndarray, mod: Modulation, snr_db: float) -> McResult:
+def ser_estimate(samples: np.ndarray, mod: Modulation, snr_db: float):
     """Semi-analytic SER over largest-eigenvalue samples: the sample mean
     of a*Q(sqrt(2*b*snr*lambda)).
 
     Unbiased for the ensemble-average SER with far lower variance than
     symbol counting, which is what the quadrature result is compared to.
-    Statistics are taken per ``_BATCH`` samples and merged pairwise, so the
-    result does not depend on how the samples were computed. The batches
-    run on the simulator's worker threads (see :func:`simulate_lambda_max`),
-    and the result is bit-identical for any worker count. Raises
-    ``ValidationError`` unless the samples are a nonempty 1-D array of
-    finite, nonnegative values.
+    ``snr_db`` is one SNR in dB, giving one :class:`McResult`, or a 1-D
+    array of them, giving a list with one result per SNR, each equal to
+    the one-SNR call's. Statistics are taken per ``_BATCH`` samples and
+    merged pairwise, so the result does not depend on how the samples
+    were computed. The batches of every SNR run in one pool of the
+    simulator's worker threads (see :func:`simulate_lambda_max`), and the
+    result is bit-identical for any worker count. Raises
+    ``ValidationError``, before any batch runs, unless the samples are a
+    nonempty 1-D array of finite, nonnegative values and each SNR finite.
     """
     return _ser_estimate(samples, mod, snr_db, _worker_count())
 
 
-def _ser_estimate(samples, mod: Modulation, snr_db: float, workers: int) -> McResult:
+def _ser_estimate(samples, mod: Modulation, snr_db, workers: int):
     """:func:`ser_estimate` on ``workers`` threads (see :func:`_run_batches`).
 
-    Each worker computes a whole batch at a time, in four ``_BATCH``-sized
-    buffers (2 MB) that this thread allocates, about 60 numpy calls per
-    batch. Threads making many short calls convoy on the interpreter
-    lock, handing it back and forth at each call: on a 2-vCPU host, two
-    threads running Q over 2^20 points each reached 0.61 times one
-    thread's throughput in passes of 8192 points, and 1.45 times in
+    Each worker computes a whole batch of one SNR at a time, in four
+    ``_BATCH``-sized buffers (2 MB) that this thread allocates, about 60
+    numpy calls per batch. Threads making many short calls convoy on the
+    interpreter lock, handing it back and forth at each call: on a 2-vCPU
+    host, two threads running Q over 2^20 points each reached 0.61 times
+    one thread's throughput in passes of 8192 points, and 1.45 times in
     passes of 65,536.
     """
     samples = _checked_samples(samples)
-    scale = 2.0 * mod.b * snr_from_db(snr_db)
+    snrs = _snrs(snr_db)
+    scales = [2.0 * mod.b * snr_from_db(snr) for snr in snrs.flat]
     batches = math.ceil(samples.size / _BATCH)
-    stats = [None] * batches
+    # the statistics of batch b of SNR s at s * batches + b
+    stats = [None] * (len(scales) * batches)
     size = min(_BATCH, samples.size)
 
     def run(index, buffers):
-        part = samples[index * _BATCH : (index + 1) * _BATCH]
+        point, batch = divmod(index, batches)
+        part = samples[batch * _BATCH : (batch + 1) * _BATCH]
         x, den, t, values = (b[: part.size] for b in buffers)
-        np.multiply(part, scale, out=x)
+        np.multiply(part, scales[point], out=x)
         np.sqrt(x, out=x)
         gauss_q_upper_into(x, values, (den, t))
         values *= mod.a
@@ -603,26 +585,34 @@ def _ser_estimate(samples, mod: Modulation, snr_db: float, workers: int) -> McRe
         np.square(values, out=values)
         stats[index] = (part.size, mean, float(values.sum()))
 
-    _run_batches(batches, workers, lambda: np.empty((4, size)), run)
-    n, mean, m2 = _pairwise_reduce(stats)
-    std_error = math.sqrt(m2 / (n - 1) / n) if n > 1 else 0.0
-    return McResult(estimate=mean, std_error=std_error, trials=n)
+    _run_batches(len(stats), workers, lambda: np.empty((4, size)), run)
+    results = []
+    for lo in range(0, len(stats), batches):
+        n, mean, m2 = _pairwise_reduce(stats[lo : lo + batches])
+        std_error = math.sqrt(m2 / (n - 1) / n) if n > 1 else 0.0
+        results.append(McResult(estimate=mean, std_error=std_error, trials=n))
+    return results if snrs.ndim else results[0]
+
+
+def _points(values, name: str, rule: str, valid) -> np.ndarray:
+    """``values``, a number or a 1-D array of them, as floats;
+    ``ValidationError`` for a 2-D array or any value that ``valid``
+    refuses, saying that the ``name`` must be ``rule``."""
+    points = np.asarray(values, dtype=float)
+    if points.ndim > 1:
+        raise ValidationError(f"{name}s must be a number or a 1-D array, got shape {points.shape}")
+    bad = ~valid(points)
+    if bad.any():
+        raise ValidationError(f"{name} must be {rule}, got {float(points[bad].flat[0])!r}")
+    return points
+
+
+def _snrs(snr_db) -> np.ndarray:
+    return _points(snr_db, "SNR", "finite", np.isfinite)
 
 
 def _thresholds(gamma_th) -> np.ndarray:
-    """The threshold, or a 1-D array of them, as floats; ``ValidationError``
-    for any that is not positive and finite."""
-    gammas = np.asarray(gamma_th, dtype=float)
-    if gammas.ndim > 1:
-        raise ValidationError(
-            f"outage thresholds must be a number or a 1-D array, got shape {gammas.shape}"
-        )
-    bad = ~((gammas > 0.0) & np.isfinite(gammas))
-    if bad.any():
-        raise ValidationError(
-            f"outage threshold must be positive, got {float(gammas[bad].flat[0])!r}"
-        )
-    return gammas
+    return _points(gamma_th, "outage threshold", "positive", lambda g: (g > 0.0) & np.isfinite(g))
 
 
 def outage_estimate(samples: np.ndarray, snr_db: float, gamma_th):
@@ -649,9 +639,10 @@ def outage_estimate(samples: np.ndarray, snr_db: float, gamma_th):
     return results if gammas.ndim else results[0]
 
 
-def mc_ser(cfg: McConfig, mod: Modulation, snr_db: float) -> McResult:
+def mc_ser(cfg: McConfig, mod: Modulation, snr_db: float):
     """:func:`ser_estimate` over the config's samples (see
-    :func:`simulate_lambda_max`)."""
+    :func:`simulate_lambda_max`), for one SNR or a 1-D array of them."""
+    _snrs(snr_db)  # refuse before drawing
     return ser_estimate(simulate_lambda_max(cfg), mod, snr_db)
 
 

@@ -3,6 +3,7 @@ the eigenbasis draw against the full-matrix one."""
 
 import contextlib
 import dataclasses
+import hashlib
 import itertools
 import math
 import os
@@ -61,112 +62,41 @@ def eigvalsh_lambda_max(h):
     return np.linalg.eigvalsh(gram)[:, -1]
 
 
+def batches(cfg):
+    """The stream and trial count of each of the config's batches."""
+    for index, start in enumerate(range(0, cfg.trials, montecarlo._BATCH)):
+        yield montecarlo._batch_rng(cfg.seed, index), min(montecarlo._BATCH, cfg.trials - start)
+
+
 def full_matrix_lambda_max(cfg):
     """Largest eigenvalues of the full-matrix route in the simulator's batches."""
-    out = []
-    for index, start in enumerate(range(0, cfg.trials, montecarlo._BATCH)):
-        count = min(montecarlo._BATCH, cfg.trials - start)
-        h = full_matrix_channels(cfg, montecarlo._batch_rng(cfg.seed, index), count)
-        out.append(eigvalsh_lambda_max(h))
-    return np.concatenate(out)
+    return np.concatenate([
+        eigvalsh_lambda_max(full_matrix_channels(cfg, rng, count)) for rng, count in batches(cfg)
+    ])
 
 
-def complex_block_lambda_max(h):
-    """The simulator's λmax kernel on complex (count, n_rx, n_tx) blocks,
-    as it was before it moved to real planes: einsum sums over the
-    complex block, the closed forms up to three antennas (with eigvalsh
-    for the rows the cubic's root cannot resolve) and eigvalsh from four.
-    The reference for the bits of every sample. Its three-antenna sums
-    run through einsum's SIMD loop, whose order the planar kernel keeps
-    for 128-bit SIMD (numpy's x86-64 baseline); a build whose baseline
-    has wider vectors would sum them in another order."""
-    h = np.asarray(h)
-    if h.shape[1] > h.shape[2]:
-        h = h.transpose(0, 2, 1)
-    n = h.shape[1]
-    if n == 1:
-        return np.einsum("bij,bij->b", h.real, h.real) + np.einsum("bij,bij->b", h.imag, h.imag)
-    if n == 2:
-        power = np.einsum("bij,bij->bi", h.real, h.real) + np.einsum("bij,bij->bi", h.imag, h.imag)
-        cross = np.einsum("bj,bj->b", h[:, 0], h[:, 1].conj())
-        half_gap = 0.5 * (power[:, 0] - power[:, 1])
-        return 0.5 * (power[:, 0] + power[:, 1]) + np.sqrt(
-            half_gap * half_gap + cross.real * cross.real + cross.imag * cross.imag
-        )
-    if n == 3:
-        return _complex_block_lambda_max_three(h)
-    return _complex_block_gram_lambda_max(h)
-
-
-def _complex_block_gram_lambda_max(h):
-    return np.linalg.eigvalsh(np.einsum("bij,bkj->bik", h, h.conj()))[:, -1]
-
-
-def _complex_block_lambda_max_three(h):
-    h = np.ascontiguousarray(h)
-    count, _, m = h.shape
-    pairs = h.view(np.float64).reshape(count, 3, 2 * m)
-    re, im = h.real, h.imag
-    a0, a1, a2 = np.einsum("bij,bij->ib", pairs, pairs)
-    q = (a0 + a1 + a2) / 3.0
-    with np.errstate(divide="ignore", invalid="ignore"):
-        inv_q = 1.0 / q
-        d0, d1, d2 = (a0 - q) * inv_q, (a1 - q) * inv_q, (a2 - q) * inv_q
-
-        def cross(i, k):
-            x = np.einsum("bj,bj->b", pairs[:, i], pairs[:, k])
-            y = np.einsum("bj,bj->b", im[:, i], re[:, k])
-            y -= np.einsum("bj,bj->b", re[:, i], im[:, k])
-            return x * inv_q, y * inv_q
-
-        (x01, y01), (x12, y12), (x02, y02) = cross(0, 1), cross(1, 2), cross(0, 2)
-        s01 = x01 * x01 + y01 * y01
-        s12 = x12 * x12 + y12 * y12
-        s02 = x02 * x02 + y02 * y02
-        p2 = (d0 * d0 + d1 * d1 + d2 * d2 + 2.0 * (s01 + s12 + s02)) / 6.0
-        p = np.sqrt(p2)
-        cycle = (x01 * x12 - y01 * y12) * x02 + (x01 * y12 + y01 * x12) * y02
-        det = d0 * d1 * d2 + 2.0 * cycle - d0 * s12 - d1 * s02 - d2 * s01
-        r = det / (2.0 * p2 * p)
-        lam = q * (1.0 + 2.0 * p * np.cos(np.arccos(np.clip(r, -1.0, 1.0)) / 3.0))
-        recompute = ~((1.0 + r >= montecarlo._TIE_LIMIT) & (p > montecarlo._SPREAD_LIMIT))
-    if recompute.any():
-        lam[recompute] = _complex_block_gram_lambda_max(h[recompute])
-    return lam
-
-
-def complex_block_draw(cfg):
-    """The config's samples as the simulator drew them on complex blocks:
-    each batch's real normals whole, then its imaginary normals and
-    λmax by :func:`complex_block_lambda_max`, ``_BLOCK`` rows at a time."""
+def batch_channels(cfg):
+    """Each batch's channels as the simulator draws them, but whole and on
+    the calling thread: the batch's real block, then its imaginary block,
+    scaled by the standard deviations of the eigenbasis draw."""
     rx, tx = montecarlo.corr_matrices(cfg)
     std = np.sqrt(0.5 * np.outer(
         correlation.correlation_eigenvalues(rx, "receive"),
         correlation.correlation_eigenvalues(tx, "transmit"),
     ))
-    out = []
-    for index, start in enumerate(range(0, cfg.trials, montecarlo._BATCH)):
-        count = min(montecarlo._BATCH, cfg.trials - start)
-        rng = montecarlo._batch_rng(cfg.seed, index)
-        real = rng.standard_normal((count, cfg.n_rx, cfg.n_tx))
-        for lo in range(0, count, montecarlo._BLOCK):
-            h = np.empty((min(montecarlo._BLOCK, count - lo), cfg.n_rx, cfg.n_tx), complex)
-            h.real = real[lo : lo + len(h)]
-            h.imag = rng.standard_normal(h.shape)
-            h *= std
-            out.append(complex_block_lambda_max(h))
-    return np.concatenate(out)
+    for rng, count in batches(cfg):
+        yield _draw_white(rng, count, cfg.n_rx, cfg.n_tx, std)
 
 
-def planar_lambda_max(h):
-    """The simulator's kernel, ``montecarlo._planar_lambda_max``, on the
-    planes of a (count, n_rx, n_tx) batch of channels."""
-    h = np.asarray(h, dtype=complex).transpose(montecarlo._plane_axes(*h.shape[1:]))
-    out = np.empty(h.shape[2])
-    montecarlo._planar_lambda_max(
-        np.array((h.real, h.imag), order="C"), out, *montecarlo._planar_work(h.shape[0], h.shape[2])
+def gram_entries(h):
+    """The re parts of a batch's Gram entries on and below the diagonal,
+    then the im parts of those below it, by ``montecarlo._gram_entries``."""
+    h = h.transpose(montecarlo._plane_axes(*h.shape[1:]))
+    n = h.shape[0]
+    sums = montecarlo._gram_entries(
+        np.array((h.real, h.imag), order="C"), montecarlo._planar_work(n, h.shape[2])[0]
     )
-    return out
+    return np.concatenate((sums[0], sums[1, n:]))
 
 
 @contextlib.contextmanager
@@ -419,17 +349,21 @@ class TestMcOutage:
         assert montecarlo.outage_estimate(samples, 0.0, np.array([])) == []
 
     def test_samples_checked_once_per_call(self, monkeypatch):
+        # and the SER estimator's batches run in one pool for every SNR
         samples = np.random.default_rng(8).exponential(1.0, 1000)
-        checked = []
-        check = montecarlo._checked_samples
+        calls = []
+        for name in ("_checked_samples", "_run_batches"):
+            real = getattr(montecarlo, name)
 
-        def counting(values):
-            checked.append(1)
-            return check(values)
+            def counting(*args, name=name, real=real):
+                calls.append(name)
+                return real(*args)
 
-        monkeypatch.setattr(montecarlo, "_checked_samples", counting)
+            monkeypatch.setattr(montecarlo, name, counting)
         assert len(montecarlo.outage_estimate(samples, 0.0, np.geomspace(0.1, 10.0, 19))) == 19
-        assert len(checked) == 1
+        assert calls == ["_checked_samples"]
+        assert len(montecarlo.ser_estimate(samples, EIGHT_PSK, np.linspace(0.0, 40.0, 9))) == 9
+        assert calls == ["_checked_samples", "_checked_samples", "_run_batches"]
 
     @pytest.mark.parametrize("gammas, bad", [
         ([1.0, 0.0, 2.0], "0.0"),
@@ -516,29 +450,16 @@ class TestWorkers:
 
     @pytest.mark.parametrize("n_rx, n_tx", itertools.product(range(1, 5), range(1, 5)))
     def test_pooled_blocks_equal_the_reference_draw(self, n_rx, n_tx):
-        # the planar, pooled draw gives every sample the bits of the
-        # complex-block draw, at any worker count; so does lambda_max on
-        # a whole batch at once, the batch's channels drawn whole with
-        # _draw_white, real block then imaginary block
+        # the pooled draw, _BLOCK rows at a time, gives every sample the bits
+        # of lambda_max on each whole batch drawn on the calling thread
         for trials in (1, self.BLOCK - 1, self.BLOCK + 1, 70_001, 150_001):
             cfg = montecarlo.McConfig(
                 n_rx=n_rx, n_tx=n_tx, rho_rx=0.5, rho_tx=0.3, trials=trials, seed=1799
             )
-            want = complex_block_draw(cfg)
+            want = np.concatenate([montecarlo.lambda_max(h) for h in batch_channels(cfg)])
             for workers in (1, 2):
                 got = montecarlo._draw(cfg, workers)
                 assert got.tobytes() == want.tobytes(), (trials, workers)
-            rx, tx = montecarlo.corr_matrices(cfg)
-            std = np.sqrt(0.5 * np.outer(
-                correlation.correlation_eigenvalues(rx, "receive"),
-                correlation.correlation_eigenvalues(tx, "transmit"),
-            ))
-            whole = []
-            for index, start in enumerate(range(0, trials, self.BATCH)):
-                count = min(self.BATCH, trials - start)
-                rng = montecarlo._batch_rng(cfg.seed, index)
-                whole.append(montecarlo.lambda_max(_draw_white(rng, count, n_rx, n_tx, std)))
-            assert np.concatenate(whole).tobytes() == want.tobytes(), trials
 
     def test_worker_error_reaches_the_caller(self, monkeypatch):
         # a worker thread's error is raised again by the draw, and the
@@ -566,12 +487,12 @@ class TestWorkers:
     def test_pooled_estimator_equals_the_serial_reference(self, size):
         samples = np.random.default_rng(size).exponential(2.0, size)
         mod = performance.modulation_preset("8psk")
-        for snr_db in (0.0, 30.0):
-            want = serial_ser_estimate(samples, mod, snr_db)
-            with switching_often():
-                got = [montecarlo._ser_estimate(samples, mod, snr_db, w) for w in (1, 2, 3, 4)]
-            for workers, result in zip((1, 2, 3, 4), got):
-                assert (result.estimate, result.std_error, result.trials) == want, (snr_db, workers)
+        snrs = (0.0, 30.0)
+        want = [serial_ser_estimate(samples, mod, snr_db) for snr_db in snrs]
+        with switching_often():
+            got = [montecarlo._ser_estimate(samples, mod, snrs, w) for w in (1, 2, 3, 4)]
+        for workers, results in zip((1, 2, 3, 4), got):
+            assert [(r.estimate, r.std_error, r.trials) for r in results] == want, workers
 
     def test_estimator_worker_error_reaches_the_caller(self, monkeypatch):
         samples = np.random.default_rng(12).exponential(1.0, 3 * self.BATCH)
@@ -772,7 +693,7 @@ class TestClosedForms:
 
         with monkeypatch.context() as patch:
             patch.setattr(np.linalg, "eigvalsh", counting)
-            planar_lambda_max(h)
+            montecarlo.lambda_max(h)
         return sum(seen)
 
     @pytest.mark.parametrize("m", [3, 4, 5])
@@ -825,6 +746,47 @@ class TestLambdaMaxInput:
     def test_refuses_anything_but_channels(self, shape):
         with pytest.raises(ValidationError, match="channels must be"):
             montecarlo.lambda_max(np.ones(shape))
+
+
+# Declared before the first run: (n_rx, n_tx, rho_rx, rho_tx) at
+# 2 * _BATCH + 7 trials and seed 1601, with the SHA-256 of the samples'
+# bytes for n_min <= 2 and of the Gram entries' bytes, batch by batch,
+# from 3.
+DIGESTS = [
+    ((1, 3, 0.0, 0.0), "6c9457739290ecddd498cad5708819aa2a5183793b6b9125347b9a206375ae45"),
+    ((2, 2, 0.5, 0.5), "fcf26fd5ecbd2468a4121d085f26171b5cf468118ea369708ac027399c57a7fc"),
+    ((2, 4, 0.3, 0.9), "c12b50a5c7cb05598e8baa3d7da18fe707fe9e70eae3fdc5df1fdb0586609340"),
+    ((4, 2, 0.9, 0.3), "37764569c9ee461b4bb94e00638c8f3f93f7792f17e299fa37b57c40fbaae319"),
+    ((3, 3, 0.9, 0.9), "a025889890b4080b4801d66e303253bc69c30ef582a71fa9d5a84f9c39dcc949"),
+    ((3, 4, 0.5, 0.5), "58dcae88e2087094630245169e23ef16b00a436486d3146fc173078bba95a57e"),
+    ((4, 4, 0.5, 0.5), "7413406c2a643b74f5358af9656dea42ccb0d3646a1976e6d99618bc34bc7d5a"),
+]
+
+
+class TestDigests:
+    """Declared draws keep their bits; they are bit-identical for a
+    (config, seed) at any worker count, not across versions. Up to two
+    antennas on the smaller side the samples take only IEEE products,
+    sums and square roots, and are pinned; for three they pass through
+    libm's arccos and cos, from four through LAPACK's eigvalsh, so there
+    the Gram entries that feed them are pinned. All rest on numpy's
+    normal generator and on eigvalsh's eigenvalues of the correlation
+    matrices, which set the entries' standard deviations."""
+
+    @pytest.mark.parametrize("geometry, digest", DIGESTS, ids=[
+        "{}x{}-{}-{}".format(*geometry) for geometry, _ in DIGESTS
+    ])
+    def test_declared_draws_keep_their_bits(self, geometry, digest):
+        n_rx, n_tx, rho_rx, rho_tx = geometry
+        cfg = montecarlo.McConfig(n_rx=n_rx, n_tx=n_tx, rho_rx=rho_rx, rho_tx=rho_tx,
+                                  trials=2 * montecarlo._BATCH + 7, seed=1601)
+        if min(n_rx, n_tx) <= 2:
+            got = hashlib.sha256(montecarlo.simulate_lambda_max(cfg).tobytes())
+        else:
+            got = hashlib.sha256()
+            for h in batch_channels(cfg):
+                got.update(gram_entries(h).tobytes())
+        assert got.hexdigest() == digest
 
 
 # Fixed before any run: one seed per case for each route.
@@ -901,6 +863,43 @@ class TestEstimators:
         assert calls == ["outage_estimate"]
         rows = capsys.readouterr().out.splitlines()[1:]
         assert len(rows) == 7 and all(len(row.split(",")) == 5 for row in rows)
+        assert cli.main(["ser", *flags, "--mod", "8psk", "--sweep", "0:40:9"]) == 0
+        assert calls == ["outage_estimate", "ser_estimate"]
+        rows = capsys.readouterr().out.splitlines()[1:]
+        assert len(rows) == 9 and all(len(row.split(",")) == 5 for row in rows)
+
+    def test_snr_array_equals_one_call_per_snr(self):
+        cfg = montecarlo.McConfig(n_rx=2, n_tx=3, rho_rx=0.5, trials=70_001, seed=15)
+        samples = montecarlo.simulate_lambda_max(cfg)
+        snrs = np.linspace(-10.0, 40.0, 11)
+        want = [montecarlo.ser_estimate(samples, EIGHT_PSK, snr) for snr in snrs]
+        for got in (
+            montecarlo.ser_estimate(samples, EIGHT_PSK, snrs),
+            montecarlo.ser_estimate(samples, EIGHT_PSK, snrs.tolist()),
+            montecarlo.mc_ser(cfg, EIGHT_PSK, snrs),
+        ):
+            assert got == want
+        assert montecarlo.ser_estimate(samples, EIGHT_PSK, snrs[3:4]) == want[3:4]
+        assert montecarlo.ser_estimate(samples, EIGHT_PSK, np.array([])) == []
+
+    @pytest.mark.parametrize("snrs, match", [
+        ([10.0, math.nan], "finite, got nan"),
+        ([math.inf, 0.0], "finite, got inf"),
+        (-math.inf, "finite, got -inf"),
+        ([[0.0, 10.0]], "1-D array"),
+    ])
+    def test_bad_snr_refused_before_any_work(self, snrs, match, monkeypatch, drawn):
+        samples = np.random.default_rng(9).exponential(1.0, 1000)
+        cfg = montecarlo.McConfig(n_rx=2, n_tx=2, trials=1000, seed=9)
+        calls = []
+        monkeypatch.setattr(montecarlo, "gauss_q_upper_into", lambda *args: calls.append(1))
+        for call in (
+            lambda: montecarlo.ser_estimate(samples, EIGHT_PSK, snrs),
+            lambda: montecarlo.mc_ser(cfg, EIGHT_PSK, np.array(snrs)),
+        ):
+            with pytest.raises(ValidationError, match=match):
+                call()
+        assert calls == [] and drawn == []
 
     BAD_SAMPLES = {
         "empty": np.array([]),

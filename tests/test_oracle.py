@@ -188,7 +188,7 @@ class TestMpmathOracle:
     @pytest.mark.xfail(
         strict=True, raises=AssertionError,
         reason="accepted untied model whose determinant form is off by up to 9e-5 "
-        "below saturation: ROADMAP item 1",
+        "below saturation: ROADMAP item 2",
     )
     def test_strongly_correlated_2x5_matches_or_is_refused(self):
         # 2x5 at rho_rx 0.99, rho_tx 0.3 builds with a clean noise floor

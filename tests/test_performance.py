@@ -94,7 +94,7 @@ class TestExactSer:
     @pytest.mark.xfail(
         strict=True, raises=AssertionError,
         reason="blocks are not split where the c.d.f. has kinks, and the error "
-        "estimate misses there: ROADMAP item 3",
+        "estimate misses there: ROADMAP item 4",
     )
     def test_meets_tolerance_where_the_cdf_has_kinks(self):
         # 2x3 rho .5/.5 8PSK at 5 dB: the integrand has kinks at the

@@ -127,12 +127,18 @@ class TestGaussQAccuracy:
             assert got == want
 
     def test_underflow_at_the_tail(self):
-        # Q(37.5) is about 1e-307, still normal; by 40 exp(-x^2/2) is below
-        # the smallest subnormal
-        assert specfun.gauss_q(37.5) > 2.2250738585072014e-308
-        assert specfun.gauss_q(40.0) == 0.0
-        tail = specfun.gauss_q(np.linspace(37.5, 40.0, 51))
+        # Q(37.5) is about 1e-307, still normal; from _Q_ZERO = 37.519...,
+        # where the formula would give a subnormal, Q is exactly 0
+        tiny = np.finfo(float).tiny
+        edge = specfun._Q_ZERO
+        assert specfun.gauss_q(37.5) > tiny
+        assert specfun.gauss_q(np.nextafter(edge, 0.0)) >= tiny
+        assert specfun.gauss_q(edge) == 0.0
+        xs = np.linspace(37.0, 41.0, 40_001)
+        tail = specfun.gauss_q(xs)
+        assert not np.any((tail > 0.0) & (tail < tiny))
         assert np.all(np.diff(tail) <= 0.0)
+        assert np.all(tail[xs >= edge] == 0.0)
 
     def test_coefficients_recomputed(self):
         # g(t) = exp(z^2) erfc(z) (z + K), z = K (1 + t) / (1 - t), fitted by
