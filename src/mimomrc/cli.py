@@ -9,30 +9,17 @@ and 17-significant-digit values.
 from __future__ import annotations
 
 import argparse
-import csv
 import math
 import sys
-from dataclasses import dataclass
 
 import numpy as np
 
 from . import correlation, eigdist, montecarlo, performance
-from .errors import NumericalError, ValidationError
+from .errors import NumericalError, ValidationError, checked_points
 
 
-@dataclass(frozen=True)
-class SweepSpec:
-    """Inclusive linear grid over the sweep axis."""
-
-    start: float
-    stop: float
-    points: int
-
-    def values(self) -> np.ndarray:
-        return np.linspace(self.start, self.stop, self.points)
-
-
-def _parse_sweep(text: str) -> SweepSpec:
+def _parse_sweep(text: str) -> np.ndarray:
+    """start:stop:points as the inclusive linear grid over the sweep axis."""
     parts = text.split(":")
     if len(parts) != 3:
         raise argparse.ArgumentTypeError("sweep must be start:stop:points")
@@ -46,7 +33,7 @@ def _parse_sweep(text: str) -> SweepSpec:
         raise argparse.ArgumentTypeError("sweep start must be below stop")
     if points < 2:
         raise argparse.ArgumentTypeError("sweep needs at least 2 points")
-    return SweepSpec(start, stop, points)
+    return np.linspace(start, stop, points)
 
 
 def _add_common(parser: argparse.ArgumentParser, modulation: bool) -> None:
@@ -105,8 +92,8 @@ def _modulation(parser: argparse.ArgumentParser, args) -> performance.Modulation
     return performance.modulation_preset(args.mod)
 
 
-def _with_mc(args, model, header, rows, points, estimate):
-    """Append the Monte-Carlo estimate and its standard error to each row.
+def _with_mc(args, model, header, columns, points, estimate):
+    """Append the Monte-Carlo estimate and its standard error columns.
 
     One set of channel draws, from the matrices the model was built on,
     serves every sweep point (common random numbers); the per-point
@@ -115,7 +102,7 @@ def _with_mc(args, model, header, rows, points, estimate):
     per sweep.
     """
     if not args.with_mc:
-        return header, rows
+        return header, columns
     cfg = montecarlo.McConfig(
         n_rx=args.nr,
         n_tx=args.nt,
@@ -124,10 +111,9 @@ def _with_mc(args, model, header, rows, points, estimate):
         trials=args.trials,
         seed=args.seed,
     )
-    lam = montecarlo.simulate_lambda_max(cfg)
-    results = estimate(lam, points)
+    results = estimate(montecarlo.simulate_lambda_max(cfg), points)
     return header + ["mc", "mc_stderr"], [
-        row + (r.estimate, r.std_error) for row, r in zip(rows, results)
+        *columns, [r.estimate for r in results], [r.std_error for r in results]
     ]
 
 
@@ -135,28 +121,28 @@ def _fmt(value: float) -> str:
     return f"{value:.17g}"
 
 
-def _emit(args, header, rows) -> None:
-    out = open(args.out, "w", newline="") if args.out else sys.stdout
-    try:
-        writer = csv.writer(out, lineterminator="\n")
-        writer.writerow(header)
-        for row in rows:
-            writer.writerow([_fmt(v) for v in row])
-    finally:
-        if args.out:
-            out.close()
+def _write(args, text: str) -> None:
+    """The command's output, to ``--out`` or else to stdout."""
+    if args.out:
+        with open(args.out, "w", newline="") as fh:
+            fh.write(text)
+    else:
+        sys.stdout.write(text)
+
+
+def _emit(args, header, columns) -> None:
+    """Write the columns as CSV rows under ``header``."""
+    lines = [",".join(header), *(",".join(map(_fmt, row)) for row in zip(*columns))]
+    _write(args, "".join(line + "\n" for line in lines))
 
 
 def _cmd_cdf(parser, args) -> int:
     model = _build_model(parser, args)
-    if args.sweep.start < 0.0:
+    xs = args.sweep
+    if xs[0] < 0.0:
         parser.error("cdf sweep must start at or above 0")
-    xs = args.sweep.values()
-    rows = [
-        (x, exact, eigdist.asymptotic_cdf(model, x))
-        for x, exact in zip(xs, eigdist.cdf(model, xs))
-    ]
-    _emit(args, ["x", "exact", "asymptotic"], rows)
+    _emit(args, ["x", "exact", "asymptotic"],
+          [xs, eigdist.cdf(model, xs), eigdist.asymptotic_cdf(model, xs)])
     return 0
 
 
@@ -164,37 +150,32 @@ def _cmd_ser(parser, args) -> int:
     model = _build_model(parser, args)
     mod = _modulation(parser, args)
     hs = performance.high_snr_ser(model, mod)
-    snrs_db = args.sweep.values()
-    # one quadrature for the whole sweep; a plain list, because the
-    # benchmark's tracer records this argument as JSON
-    exact = performance.exact_ser(model, mod, snrs_db.tolist())
-    rows = [
-        (snr_db, value, performance.ser_asymptote_eval(hs, snr_db))
-        for snr_db, value in zip(snrs_db, exact)
-    ]
-    header, rows = _with_mc(
-        args, model, ["snr_db", "exact", "asymptote"], rows, snrs_db,
+    snrs_db = args.sweep
+    # a plain list, because the benchmark's tracer records this argument as JSON
+    columns = [snrs_db, performance.exact_ser(model, mod, snrs_db.tolist()),
+               performance.ser_asymptote_eval(hs, snrs_db)]
+    header, columns = _with_mc(
+        args, model, ["snr_db", "exact", "asymptote"], columns, snrs_db,
         lambda lam, snrs: montecarlo.ser_estimate(lam, mod, snrs),
     )
-    _emit(args, header, rows)
+    _emit(args, header, columns)
     return 0
 
 
 def _cmd_outage(parser, args) -> int:
     model = _build_model(parser, args)
-    gammas_db = args.sweep.values()
+    gammas_db = args.sweep
+    # checked in dB; the linear thresholds are numpy's power, which can
+    # differ in the last bit from the checker's per-element Python pow
+    checked_points(gammas_db, "outage threshold", db=True)
     gammas = 10.0 ** (gammas_db / 10.0)
-    rows = [
-        (gamma_th_db, exact, performance.asymptotic_outage(model, args.snr_db, gamma_th))
-        for gamma_th_db, gamma_th, exact in zip(
-            gammas_db, gammas, performance.exact_outage(model, args.snr_db, gammas)
-        )
-    ]
-    header, rows = _with_mc(
-        args, model, ["gamma_th_db", "exact", "asymptotic"], rows, gammas,
+    columns = [gammas_db, performance.exact_outage(model, args.snr_db, gammas),
+               performance.asymptotic_outage(model, args.snr_db, gammas)]
+    header, columns = _with_mc(
+        args, model, ["gamma_th_db", "exact", "asymptotic"], columns, gammas,
         lambda lam, gammas: montecarlo.outage_estimate(lam, args.snr_db, gammas),
     )
-    _emit(args, header, rows)
+    _emit(args, header, columns)
     return 0
 
 
@@ -213,14 +194,9 @@ def _cmd_summary(parser, args) -> int:
         ("correlation_penalty", correlation.correlation_penalty(model.pair)),
         ("crossover", model.crossover),
     ]
-    text = "".join(
+    _write(args, "".join(
         f"{key}={value if isinstance(value, int) else _fmt(value)}\n" for key, value in lines
-    )
-    if args.out:
-        with open(args.out, "w", newline="") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
+    ))
     return 0
 
 
@@ -274,14 +250,9 @@ def _join_sweep_values(argv):
     argparse would otherwise read a negative sweep start as an option.
     """
     out = []
-    skip = False
-    for i, tok in enumerate(argv):
-        if skip:
-            skip = False
-            continue
-        if tok == "--sweep" and i + 1 < len(argv) and argv[i + 1].startswith("-"):
-            out.append(f"--sweep={argv[i + 1]}")
-            skip = True
+    for tok in argv:
+        if out and out[-1] == "--sweep" and tok.startswith("-"):
+            out[-1] = f"--sweep={tok}"
         else:
             out.append(tok)
     return out

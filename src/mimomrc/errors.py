@@ -1,4 +1,10 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and the one check that every
+point-wise function makes of its point inputs."""
+
+import math
+import sys
+
+import numpy as np
 
 
 class ValidationError(ValueError):
@@ -21,3 +27,43 @@ class QuadratureError(NumericalError):
         super().__init__(message)
         self.estimate = estimate
         self.error_bound = error_bound
+
+
+# The rule each kind of linear point must meet, in words and as a test.
+_RULES = {
+    "evaluation point": ("finite and >= 0", lambda v: (v >= 0.0) & (v < math.inf)),
+    "outage threshold": ("positive", lambda v: (v > 0.0) & (v < math.inf)),
+}
+
+
+def checked_points(values, name: str, db: bool = False) -> np.ndarray:
+    """``values``, a number or an array of them, as a float array of their
+    shape, every one checked before any is used; ``ValidationError``
+    names the first one refused.
+
+    A linear ``name`` is an ``"evaluation point"`` (finite and >= 0) or an
+    ``"outage threshold"`` (finite and > 0). With ``db``, the values are
+    in dB (an ``"SNR"``, or a threshold) and their linear values come
+    back, each Python's float ``10 ** (v / 10)``: one that is not a
+    positive normal double, which is outside about -3076.5 to 3082.5 dB,
+    is refused.
+    """
+    points = np.asarray(values, dtype=float)
+    if not db:
+        rule, valid = _RULES[name]
+        ok = valid(points)
+        if not ok.all():
+            raise ValidationError(f"{name} must be {rule}, got {float(points[~ok].flat[0])!r}")
+        return points
+    linear = []
+    for v in points.ravel().tolist():
+        if not math.isfinite(v):
+            raise ValidationError(f"{name} must be finite, got {v!r}")
+        try:
+            linear.append(10.0 ** (v / 10.0))
+        except OverflowError:
+            linear.append(math.inf)
+        if not sys.float_info.min <= linear[-1] < math.inf:
+            raise ValidationError(f"{name} must lie within about -3076.5 to 3082.5 dB, where "
+                                  f"its linear value is a normal double, got {v!r} dB")
+    return np.array(linear).reshape(points.shape)

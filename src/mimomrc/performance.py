@@ -4,20 +4,25 @@ diversity order and array gain, and exact/asymptotic outage probability.
 
 Average SNR always enters these interfaces in dB; outage thresholds are
 linear SNR ratios. Everything is a pure function over immutable models.
-An SER sweep is one call: :func:`exact_ser` takes an array of SNRs and
-runs their quadratures together, each element equal to a scalar call.
+Every point-wise function takes a number, giving a float, or an array,
+giving an array of its shape (the outages broadcast the SNR against the
+thresholds), as :mod:`~mimomrc.eigdist` describes; an SNR is refused
+unless its linear value is a positive normal double (about -3076.5 to
+3082.5 dB). :func:`exact_ser` runs the quadratures of all its SNRs together.
 """
 
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
 
 from .correlation import correlation_penalty
+# exact_cdf_stable is not called here; the benchmark's tracer wraps this binding
 from .eigdist import EigDistModel, asymptotic_cdf, cdf, exact_cdf_stable
-from .errors import QuadratureError, ValidationError
+from .errors import QuadratureError, ValidationError, checked_points
 from .specfun import double_factorial_odd, log_multivariate_gamma_norm
 
 # Result tolerance for the SER quadrature: absolute 1e-12 or relative
@@ -98,11 +103,12 @@ def modulation_preset(name: str) -> Modulation:
         ) from None
 
 
-def snr_from_db(snr_db: float) -> float:
-    snr_db = float(snr_db)
-    if not math.isfinite(snr_db):
-        raise ValidationError(f"SNR must be finite, got {snr_db!r}")
-    return 10.0 ** (snr_db / 10.0)
+def _cdf_argument(snr: np.ndarray, gbar: np.ndarray) -> np.ndarray:
+    """snr / gbar, an output SNR over the average, as a c.d.f. argument: a
+    quotient past the double range reads as the largest double, where
+    the c.d.f. is 1, rather than as an overflow."""
+    with np.errstate(over="ignore"):
+        return np.minimum(snr / gbar, sys.float_info.max)
 
 
 def _gl_panel(f, lo, hi, *args):
@@ -219,7 +225,7 @@ def _size_blocks(f, b: float, gbar: np.ndarray):
         sized[pending] = end
         running = np.cumsum(wholes[pending, :end], axis=1)[:, start:]
         ends = width * np.arange(start + 1, end + 1)
-        stops = (running > 0.0) & (np.exp(-b * ends * ends) < 1e-16 * running)
+        stops = np.exp(-b * ends * ends) <= 1e-16 * running
         fired = stops.any(axis=1)
         counts[pending[fired]] = start + 1 + stops[fired].argmax(axis=1)
         pending = pending[~fired]
@@ -233,13 +239,13 @@ def _integrate_blocks(f, b: float, wholes: np.ndarray, sized: np.ndarray, counts
     array, where f decays at least like exp(-b v^2).
 
     For each gbar, fixed-width blocks are appended until the Gaussian
-    envelope at the block boundary falls below 1e-16 of its running total;
-    each block is refined by adaptive bisection of a 31-point
-    Gauss-Legendre rule. ``wholes``, ``sized`` and ``counts`` come from
-    :func:`_size_blocks`: row i of ``wholes`` holds the single-panel
-    estimates of the first ``sized[i]`` blocks for ``gbar[i]``, which are
-    those blocks' starting estimates; a later block starts from a fresh
-    (1, 31) panel. ``tol`` and ``floor`` hold each gbar's tolerances.
+    envelope at the block boundary is at most 1e-16 of its running total
+    (both 0 where f underflows); each block is refined by adaptive
+    bisection of a 31-point Gauss-Legendre rule. ``wholes``, ``sized``
+    and ``counts`` come from :func:`_size_blocks`: row i of ``wholes``
+    holds the single-panel estimates of the first ``sized[i]`` blocks for
+    ``gbar[i]``, their starting estimates; a later block starts from a
+    fresh (1, 31) panel. ``tol`` and ``floor`` hold each gbar's tolerances.
 
     The ``counts[i]`` blocks that those estimates say the stop rule needs
     are refined together, and the stop rule is then applied block by block
@@ -280,7 +286,7 @@ def _integrate_blocks(f, b: float, wholes: np.ndarray, sized: np.ndarray, counts
             total = totals[i]
             for value, block_hi in zip(values[start : start + length], hi[start : start + length]):
                 total += value
-                if total > 0.0 and math.exp(-b * block_hi * block_hi) < 1e-16 * total:
+                if math.exp(-b * block_hi * block_hi) <= 1e-16 * total:
                     break
             else:
                 still_open.append(i)
@@ -308,14 +314,14 @@ def exact_ser(model: EigDistModel, mod: Modulation, snr_db) -> float | np.ndarra
     (a sqrt(b) / sqrt(pi)) * int_0^inf exp(-b v^2) F(v^2 / snr) dv with a
     smooth Gaussian-tailed integrand.
 
-    ``snr_db`` is a scalar, answered with a float, or an array (or list)
+    ``snr_db`` is a number, answered with a float, or an array (or list)
     of SNRs, answered with an array of its shape. The quadratures of all
     SNRs of an array run together, each bisection level of every one in
     a single evaluator call, and each element is bit for bit the value a
-    scalar call at that SNR returns. A non-finite SNR anywhere raises
-    ``ValidationError`` before any evaluation. Each SNR sizes its
-    tolerance from single panels over as many leading blocks as its
-    truncation rule needs, found in rounds of ``_SIZING_ROUND`` blocks.
+    call at that SNR alone returns. An SNR refused anywhere (see the
+    module docstring) raises ``ValidationError`` before any evaluation.
+    Each SNR sizes its tolerance from single panels over as many leading
+    blocks as its truncation rule needs, in rounds of ``_SIZING_ROUND``.
 
     The quadrature's tolerance is absolute 1e-12 or relative 1e-8,
     whichever is looser, for models with distinct correlation eigenvalues;
@@ -332,13 +338,12 @@ def exact_ser(model: EigDistModel, mod: Modulation, snr_db) -> float | np.ndarra
     noise floor, bisection cannot converge and ``QuadratureError`` is
     raised (see :func:`_adaptive`).
     """
-    snrs = np.asarray(snr_db, dtype=float)
-    # element by element: Python's float pow, which an array ** need not match
-    gbar = np.array([snr_from_db(s) for s in snrs.ravel().tolist()])
+    gbars = checked_points(snr_db, "SNR", db=True)
+    gbar = gbars.ravel()
     scale = mod.a * math.sqrt(mod.b) / math.sqrt(math.pi)
 
     def integrand(v: np.ndarray, g: np.ndarray) -> np.ndarray:
-        return np.exp(-mod.b * v * v) * cdf(model, v * v / g)
+        return np.exp(-mod.b * v * v) * cdf(model, _cdf_argument(v * v, g))
 
     # Single panels over the first blocks, as many as each SNR's stop rule
     # needs, size the tolerance (abs 1e-12 / rel 1e-8 on the SER, whichever
@@ -351,8 +356,8 @@ def exact_ser(model: EigDistModel, mod: Modulation, snr_db) -> float | np.ndarra
     value = scale * _integrate_blocks(
         integrand, mod.b, wholes, sized, counts, tol, floor, model.noise_floor, gbar
     )
-    ser = np.minimum(1.0, np.maximum(0.0, value)).reshape(snrs.shape)
-    return float(ser) if ser.ndim == 0 else ser
+    ser = np.minimum(1.0, np.maximum(0.0, value)).reshape(gbars.shape)
+    return ser if ser.ndim else float(ser)
 
 
 @dataclass(frozen=True)
@@ -387,32 +392,28 @@ def high_snr_ser(model: EigDistModel, mod: Modulation) -> HighSnrSer:
     return HighSnrSer(diversity_order=mn, array_gain=math.exp(log_gain))
 
 
-def ser_asymptote_eval(hs: HighSnrSer, snr_db: float) -> float:
-    """Evaluate (array_gain * snr)^(-diversity_order) at the given dB SNR."""
-    gbar = snr_from_db(snr_db)
-    return math.exp(-hs.diversity_order * (math.log(hs.array_gain) + math.log(gbar)))
+def ser_asymptote_eval(hs: HighSnrSer, snr_db):
+    """Evaluate (array_gain * snr)^(-diversity_order) at the given dB SNRs,
+    unclamped (``inf`` past the double range)."""
+    gbar = checked_points(snr_db, "SNR", db=True)
+    with np.errstate(over="ignore"):
+        out = np.exp(-hs.diversity_order * (math.log(hs.array_gain) + np.log(gbar)))
+    return out if gbar.ndim else float(out)
 
 
-def exact_outage(model: EigDistModel, snr_db: float, gamma_th):
+def exact_outage(model: EigDistModel, snr_db, gamma_th):
     """Probability that the combiner output SNR falls below gamma_th.
 
-    gamma_th is a linear SNR threshold, or an array of them (answered by
-    one evaluator call, as an array); the average SNR is given in dB.
+    gamma_th is a linear SNR threshold, or an array of them, evaluated in
+    one evaluator call; the average SNR is given in dB, and broadcasts
+    against the thresholds.
     """
-    gammas = np.asarray(gamma_th, dtype=float)
-    bad = ~((gammas > 0.0) & np.isfinite(gammas))
-    if bad.any():
-        raise ValidationError(
-            f"outage threshold must be positive, got {float(gammas[bad].flat[0])!r}"
-        )
-    if gammas.ndim == 0:
-        return exact_cdf_stable(model, float(gammas) / snr_from_db(snr_db))
-    return cdf(model, gammas / snr_from_db(snr_db))
+    gammas = checked_points(gamma_th, "outage threshold")
+    return cdf(model, _cdf_argument(gammas, checked_points(snr_db, "SNR", db=True)))
 
 
-def asymptotic_outage(model: EigDistModel, snr_db: float, gamma_th: float) -> float:
-    """Leading-order outage: alpha * (gamma_th / snr)^(n_min*n_max)."""
-    gamma_th = float(gamma_th)
-    if not (gamma_th > 0.0 and math.isfinite(gamma_th)):
-        raise ValidationError(f"outage threshold must be positive, got {gamma_th!r}")
-    return asymptotic_cdf(model, gamma_th / snr_from_db(snr_db))
+def asymptotic_outage(model: EigDistModel, snr_db, gamma_th):
+    """Leading-order outage: alpha * (gamma_th / snr)^(n_min*n_max),
+    unclamped, taking numbers and arrays as :func:`exact_outage` does."""
+    gammas = checked_points(gamma_th, "outage threshold")
+    return asymptotic_cdf(model, _cdf_argument(gammas, checked_points(snr_db, "SNR", db=True)))

@@ -4,6 +4,7 @@ import csv
 import io
 import math
 import os
+import re
 import subprocess
 import sys
 import warnings
@@ -20,6 +21,14 @@ def run_cli(argv, capsys):
     code = cli.main(argv)
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+def run_as_user(argv):
+    """The CLI in a fresh interpreter, as a user runs it: numpy's warnings
+    and tracebacks would reach its stderr."""
+    env = {**os.environ, "PYTHONPATH": str(Path(cli.__file__).parents[1])}
+    return subprocess.run([sys.executable, "-m", "mimomrc.cli", *argv],
+                          capture_output=True, text=True, env=env, timeout=120)
 
 
 def parse_csv(text):
@@ -170,13 +179,8 @@ class TestSummaryCommand:
             assert int(entries["diversity_order"]) == nr * nt
 
     def test_large_model_writes_nothing_to_stderr(self):
-        # as a user runs it: numpy's warnings would reach stderr
-        env = {**os.environ, "PYTHONPATH": str(Path(cli.__file__).parents[1])}
-        result = subprocess.run(
-            [sys.executable, "-m", "mimomrc.cli", "summary", "--nr", "5", "--nt", "5",
-             "--rho-rx", "0.5", "--rho-tx", "0.5"],
-            capture_output=True, text=True, env=env, timeout=120,
-        )
+        result = run_as_user(["summary", "--nr", "5", "--nt", "5",
+                              "--rho-rx", "0.5", "--rho-tx", "0.5"])
         assert result.returncode == 0
         assert result.stderr == ""
         assert "diversity_order=25" in result.stdout
@@ -271,6 +275,31 @@ class TestExitCodes:
             cli.main(["cdf", "--nr", "1", "--nt", "1", "--rho-rx", "1.5",
                       "--sweep", "0:1:2"])
         assert excinfo.value.code == 2
+
+    GEO = ["--nr", "2", "--nt", "2", "--rho-rx", "0.5", "--rho-tx", "0.5"]
+
+    @pytest.mark.parametrize("argv, bad", [
+        (["ser", *GEO, "--sweep", "0:4000:2"], "SNR must lie within .* got 4000.0 dB"),
+        (["ser", *GEO, "--sweep", "-4000:0:2"], "SNR must lie within .* got -4000.0 dB"),
+        (["outage", *GEO, "--snr-db", "4000", "--sweep", "0:10:2"], "got 4000.0 dB"),
+        (["outage", *GEO, "--snr-db", "0", "--sweep", "0:4000:2"],
+         "outage threshold must lie within .* got 4000.0 dB"),
+        (["ser", *GEO, "--sweep", "0:4000:2", "--with-mc", "--trials", "1000"], "got 4000.0 dB"),
+    ], ids=["ser", "ser-low", "outage-snr", "outage-threshold", "ser-with-mc"])
+    def test_snr_outside_the_double_range_exits_2(self, argv, bad):
+        # one error line, no traceback and no numpy warning
+        result = run_as_user(argv)
+        assert result.returncode == 2 and result.stdout == ""
+        assert len(result.stderr.splitlines()) == 1
+        assert re.fullmatch(f"error: .*{bad}\n", result.stderr), result.stderr
+
+    def test_asymptote_past_the_double_range_is_inf(self):
+        # 2x2 rho .5 8PSK at -1000 dB: (array_gain * snr)^-4 is about 1e400
+        result = run_as_user(["ser", *self.GEO, "--mod", "8psk", "--sweep", "-1000:0:3"])
+        assert result.returncode == 0 and result.stderr == ""
+        rows = [row.split(",") for row in result.stdout.splitlines()[1:]]
+        assert [row[2] for row in rows[:1]] == ["inf"]
+        assert all(math.isfinite(float(row[2])) for row in rows[1:])
 
     def test_negative_sweep_start_accepted(self, capsys):
         code, out, _ = run_cli(

@@ -115,7 +115,7 @@ def serial_ser_estimate(samples, mod, snr_db):
     by ``specfun.gauss_q``, then each batch's size, mean and sum of
     squared deviations, merged pairwise in batch order. Returns
     (estimate, std_error, trials)."""
-    gbar = performance.snr_from_db(snr_db)
+    gbar = 10.0 ** (snr_db / 10.0)
     stats = []
     for start in range(0, samples.size, montecarlo._BATCH):
         part = samples[start : start + montecarlo._BATCH]
@@ -887,6 +887,8 @@ class TestEstimators:
         ([math.inf, 0.0], "finite, got inf"),
         (-math.inf, "finite, got -inf"),
         ([[0.0, 10.0]], "1-D array"),
+        (4000.0, "3082.5 dB, .*got 4000.0 dB"),
+        ([0.0, -4000.0], "-3076.5 .*got -4000.0 dB"),
     ])
     def test_bad_snr_refused_before_any_work(self, snrs, match, monkeypatch, drawn):
         samples = np.random.default_rng(9).exponential(1.0, 1000)

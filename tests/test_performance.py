@@ -106,7 +106,7 @@ class TestExactSer:
         # 2.85e-7 low.
         model = model_for(0.5, 2, 0.5, 3)
         mod = performance.modulation_preset("8psk")
-        gbar = performance.snr_from_db(5.0)
+        gbar = 10.0 ** (5.0 / 10.0)
         nodes, weights = np.polynomial.legendre.leggauss(31)
         edges = np.linspace(0.0, 16.0, 20_001)
         half = 0.5 * np.diff(edges)
