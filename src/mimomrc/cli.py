@@ -92,26 +92,19 @@ def _modulation(parser: argparse.ArgumentParser, args) -> performance.Modulation
     return performance.modulation_preset(args.mod)
 
 
-def _with_mc(args, model, header, columns, points, estimate):
+def _with_mc(args, model, header, columns, estimate, *points):
     """Append the Monte-Carlo estimate and its standard error columns.
 
     One set of channel draws, from the matrices the model was built on,
     serves every sweep point (common random numbers); the per-point
-    standard error is still exact. ``estimate(samples, points)`` gives
-    the :class:`~mimomrc.montecarlo.McResult` of every row, in one call
-    per sweep.
+    standard error is still exact. ``estimate(cfg, *points)``, ``mc_ser``
+    or ``mc_outage``, gives every row's result in one call per sweep.
     """
     if not args.with_mc:
         return header, columns
-    cfg = montecarlo.McConfig(
-        n_rx=args.nr,
-        n_tx=args.nt,
-        rx_corr=model.pair.rx_corr,
-        tx_corr=model.pair.tx_corr,
-        trials=args.trials,
-        seed=args.seed,
-    )
-    results = estimate(montecarlo.simulate_lambda_max(cfg), points)
+    cfg = montecarlo.McConfig(n_rx=args.nr, n_tx=args.nt, rx_corr=model.pair.rx_corr,
+                              tx_corr=model.pair.tx_corr, trials=args.trials, seed=args.seed)
+    results = estimate(cfg, *points)
     return header + ["mc", "mc_stderr"], [
         *columns, [r.estimate for r in results], [r.std_error for r in results]
     ]
@@ -154,10 +147,8 @@ def _cmd_ser(parser, args) -> int:
     # a plain list, because the benchmark's tracer records this argument as JSON
     columns = [snrs_db, performance.exact_ser(model, mod, snrs_db.tolist()),
                performance.ser_asymptote_eval(hs, snrs_db)]
-    header, columns = _with_mc(
-        args, model, ["snr_db", "exact", "asymptote"], columns, snrs_db,
-        lambda lam, snrs: montecarlo.ser_estimate(lam, mod, snrs),
-    )
+    header, columns = _with_mc(args, model, ["snr_db", "exact", "asymptote"], columns,
+                               montecarlo.mc_ser, mod, snrs_db)
     _emit(args, header, columns)
     return 0
 
@@ -165,16 +156,11 @@ def _cmd_ser(parser, args) -> int:
 def _cmd_outage(parser, args) -> int:
     model = _build_model(parser, args)
     gammas_db = args.sweep
-    # checked in dB; the linear thresholds are numpy's power, which can
-    # differ in the last bit from the checker's per-element Python pow
-    checked_points(gammas_db, "outage threshold", db=True)
-    gammas = 10.0 ** (gammas_db / 10.0)
+    gammas = checked_points(gammas_db, "outage threshold", db=True)
     columns = [gammas_db, performance.exact_outage(model, args.snr_db, gammas),
                performance.asymptotic_outage(model, args.snr_db, gammas)]
-    header, columns = _with_mc(
-        args, model, ["gamma_th_db", "exact", "asymptotic"], columns, gammas,
-        lambda lam, gammas: montecarlo.outage_estimate(lam, args.snr_db, gammas),
-    )
+    header, columns = _with_mc(args, model, ["gamma_th_db", "exact", "asymptotic"], columns,
+                               montecarlo.mc_outage, args.snr_db, gammas)
     _emit(args, header, columns)
     return 0
 

@@ -33,6 +33,7 @@ class QuadratureError(NumericalError):
 _RULES = {
     "evaluation point": ("finite and >= 0", lambda v: (v >= 0.0) & (v < math.inf)),
     "outage threshold": ("positive", lambda v: (v > 0.0) & (v < math.inf)),
+    "grid point": ("finite", np.isfinite),
 }
 
 
@@ -41,8 +42,9 @@ def checked_points(values, name: str, db: bool = False) -> np.ndarray:
     shape, every one checked before any is used; ``ValidationError``
     names the first one refused.
 
-    A linear ``name`` is an ``"evaluation point"`` (finite and >= 0) or an
-    ``"outage threshold"`` (finite and > 0). With ``db``, the values are
+    A linear ``name`` is an ``"evaluation point"`` (finite and >= 0), an
+    ``"outage threshold"`` (finite and > 0) or a ``"grid point"`` of the
+    empirical c.d.f. (finite). With ``db``, the values are
     in dB (an ``"SNR"``, or a threshold) and their linear values come
     back, each Python's float ``10 ** (v / 10)``: one that is not a
     positive normal double, which is outside about -3076.5 to 3082.5 dB,

@@ -33,16 +33,16 @@ draws a batch's real normals whole, then its imaginary normals
 ``_BLOCK`` rows at a time, each block coloured into the planes and
 turned into λmax before the next is drawn. That consumes a batch's
 stream exactly as one draw of the real and then of the imaginary block
-does. An estimating
-worker takes a whole batch of samples at a time, so that it makes few,
-long numpy calls: threads making many short ones mostly wait for each
-other to hand back the interpreter lock (see :func:`_ser_estimate`).
-The estimators take the samples as an array, so one draw can serve
-several SNRs or thresholds. The samples are a pure function of the
-config, so :func:`simulate_lambda_max` draws them once per config object
-and hands the same read-only array to every later call on it; that is
-how :func:`mc_ser`, :func:`mc_outage` and :func:`empirical_cdf` share one
-draw. The draw is freed with its config.
+does. An estimating worker takes a whole batch of samples at a time, so
+that it makes few, long numpy calls: threads making many short ones
+mostly wait for each other to hand back the interpreter lock (see
+:func:`_ser_estimate`). The estimators take the samples as an array, so
+one draw can serve several SNRs or thresholds. The samples are a pure
+function of the config, so :func:`simulate_lambda_max` draws and checks
+them once per config object and hands the same read-only array to every
+later call on it, unchecked; that is how :func:`mc_ser`,
+:func:`mc_outage` and :func:`empirical_cdf` share one draw. Their points
+are refused before any draw, and the draw is freed with its config.
 """
 
 from __future__ import annotations
@@ -386,10 +386,11 @@ def _worker_count() -> int:
 def simulate_lambda_max(cfg: McConfig) -> np.ndarray:
     """All largest-eigenvalue samples for the config (trials,), read-only.
 
-    The samples are drawn on the first call for a config object and kept
-    (weakly, by identity) for as long as that object lives: later calls
-    on it return the same array, and so do :func:`mc_ser`,
-    :func:`mc_outage` and :func:`empirical_cdf`. Another config with equal
+    The samples are drawn and checked (see :func:`_checked_samples`) on
+    the first call for a config object and kept (weakly, by identity) for
+    as long as that object lives: later calls on it return the same array
+    unchecked, and so do :func:`mc_ser`, :func:`mc_outage` and
+    :func:`empirical_cdf`. Another config with equal
     fields, such as one made by ``dataclasses.replace``, draws again, and
     gets the same bits.
 
@@ -402,15 +403,14 @@ def simulate_lambda_max(cfg: McConfig) -> np.ndarray:
     imaginary normals, the two planes of ``_BLOCK`` channels and the
     λmax kernel's work buffers. A worker holds 1.9 MB beyond the real
     normals on 2x2, 3.6 MB on 3x3 and 7.8 MB on 4x4, besides the
-    (trials,) output. Raises
-    ``ValidationError`` for a correlation matrix that
-    :func:`~mimomrc.correlation.make_pair` refuses too (see
+    (trials,) output. Raises ``ValidationError`` for a correlation matrix
+    that :func:`~mimomrc.correlation.make_pair` refuses too (see
     :func:`~mimomrc.correlation.correlation_eigenvalues`).
     """
     out = _DRAWS.get(cfg)
     if out is None:
         # two threads that both missed drew the same bits; the first stored wins
-        out = _DRAWS.setdefault(cfg, _draw(cfg, _worker_count()))
+        out = _DRAWS.setdefault(cfg, _checked_samples(_draw(cfg, _worker_count())))
     return out
 
 
@@ -489,15 +489,16 @@ def _run_batches(batches: int, workers: int, allocate, run) -> None:
         work(0)
 
 
-def empirical_cdf(cfg: McConfig, grid) -> np.ndarray:
-    """Fraction of simulated largest eigenvalues at or below each grid point."""
-    grid = np.asarray(grid, dtype=float)
-    if grid.ndim != 1 or grid.size == 0:
-        raise ValidationError("grid must be a nonempty 1-D array")
-    if np.any(np.diff(grid) < 0.0):
-        raise ValidationError("grid must be ascending")
+def empirical_cdf(cfg: McConfig, grid):
+    """Fraction of simulated largest eigenvalues at or below each grid
+    point: a number gives a float, an array one value per point, in an
+    array of its shape. A grid point may be negative, where the fraction
+    is 0; NaN and ±inf anywhere are refused with ``ValidationError``
+    before any draw."""
+    points = checked_points(grid, "grid point")
     samples = np.sort(simulate_lambda_max(cfg))
-    return np.searchsorted(samples, grid, side="right") / cfg.trials
+    out = np.searchsorted(samples, points, side="right") / cfg.trials
+    return out if points.ndim else float(out)
 
 
 def _merge(stat_a, stat_b):
@@ -550,11 +551,14 @@ def ser_estimate(samples: np.ndarray, mod: Modulation, snr_db: float):
     nonempty 1-D array of finite, nonnegative values and each SNR's
     linear value a positive normal double (about -3076.5 to 3082.5 dB).
     """
-    return _ser_estimate(samples, mod, snr_db, _worker_count())
+    samples = _checked_samples(samples)
+    return _ser_estimate(samples, mod, _sweep(snr_db, "SNR", db=True), _worker_count())
 
 
-def _ser_estimate(samples, mod: Modulation, snr_db, workers: int):
-    """:func:`ser_estimate` on ``workers`` threads (see :func:`_run_batches`).
+def _ser_estimate(samples: np.ndarray, mod: Modulation, gbar: np.ndarray, workers: int):
+    """:func:`ser_estimate` over checked samples at the checked linear
+    SNRs ``gbar`` (see :func:`_sweep`), on ``workers`` threads (see
+    :func:`_run_batches`).
 
     Each worker computes a whole batch of one SNR at a time, in four
     ``_BATCH``-sized buffers (2 MB) that this thread allocates, about 60
@@ -564,8 +568,6 @@ def _ser_estimate(samples, mod: Modulation, snr_db, workers: int):
     one thread's throughput in passes of 8192 points, and 1.45 times in
     passes of 65,536.
     """
-    samples = _checked_samples(samples)
-    gbar = _sweep(snr_db, "SNR", db=True)
     scales = (2.0 * mod.b * gbar).ravel().tolist()
     batches = math.ceil(samples.size / _BATCH)
     # the statistics of batch b of SNR s at s * batches + b
@@ -596,13 +598,13 @@ def _ser_estimate(samples, mod: Modulation, snr_db, workers: int):
     return results if gbar.ndim else results[0]
 
 
-def _sweep(values, name: str, db: bool = False) -> np.ndarray:
-    """:func:`~mimomrc.errors.checked_points` of a number or a 1-D array;
-    ``ValidationError`` for more dimensions."""
-    points = np.asarray(values, dtype=float)
-    if points.ndim > 1:
-        raise ValidationError(f"{name}s must be a number or a 1-D array, got shape {points.shape}")
-    return checked_points(points, name, db)
+def _sweep(values, name: str, db: bool = False, ndim: int = 1) -> np.ndarray:
+    """:func:`~mimomrc.errors.checked_points` of at most ``ndim`` dimensions."""
+    points = checked_points(values, name, db)
+    if points.ndim > ndim:
+        shape = ("a number", "a number or a 1-D array")[ndim]
+        raise ValidationError(f"{name} must be {shape}, got shape {points.shape}")
+    return points
 
 
 def outage_estimate(samples: np.ndarray, snr_db: float, gamma_th):
@@ -616,11 +618,17 @@ def outage_estimate(samples: np.ndarray, snr_db: float, gamma_th):
     threshold before any is counted (one comparison and one count per
     sample, about 0.5 ms per 10^6). Runs on the calling thread: the
     counts cost less than starting the worker threads. Refuses the
-    samples and the SNR, a number, as :func:`ser_estimate` does.
+    samples as :func:`ser_estimate` does, and the SNR, a number, also
+    when it is an array.
     """
     samples = _checked_samples(samples)
     gammas = _sweep(gamma_th, "outage threshold")
-    gbar = float(checked_points(snr_db, "SNR", db=True))
+    gbar = float(_sweep(snr_db, "SNR", db=True, ndim=0))
+    return _outage_estimate(samples, gbar, gammas)
+
+
+def _outage_estimate(samples: np.ndarray, gbar: float, gammas: np.ndarray):
+    """:func:`outage_estimate` over checked samples, SNR and thresholds."""
     results = []
     for gamma in gammas.flat:
         p = int(np.count_nonzero(samples <= float(gamma) / gbar)) / samples.size
@@ -631,15 +639,16 @@ def outage_estimate(samples: np.ndarray, snr_db: float, gamma_th):
 
 def mc_ser(cfg: McConfig, mod: Modulation, snr_db: float):
     """:func:`ser_estimate` over the config's samples (see
-    :func:`simulate_lambda_max`), for one SNR or a 1-D array of them."""
-    _sweep(snr_db, "SNR", db=True)  # refuse before drawing
-    return ser_estimate(simulate_lambda_max(cfg), mod, snr_db)
+    :func:`simulate_lambda_max`), for one SNR or a 1-D array of them;
+    the SNR is refused before any draw."""
+    gbar = _sweep(snr_db, "SNR", db=True)
+    return _ser_estimate(simulate_lambda_max(cfg), mod, gbar, _worker_count())
 
 
 def mc_outage(cfg: McConfig, snr_db: float, gamma_th):
     """:func:`outage_estimate` over the config's samples (see
     :func:`simulate_lambda_max`), for one threshold or a 1-D array of
-    them."""
-    _sweep(gamma_th, "outage threshold")  # refuse before drawing
-    checked_points(snr_db, "SNR", db=True)
-    return outage_estimate(simulate_lambda_max(cfg), snr_db, gamma_th)
+    them; the SNR and the thresholds are refused before any draw."""
+    gammas = _sweep(gamma_th, "outage threshold")
+    gbar = float(_sweep(snr_db, "SNR", db=True, ndim=0))
+    return _outage_estimate(simulate_lambda_max(cfg), gbar, gammas)

@@ -110,6 +110,11 @@ def switching_often():
         sys.setswitchinterval(interval)
 
 
+def linear(snr_db):
+    """The checked linear SNRs that ``montecarlo._ser_estimate`` takes."""
+    return montecarlo._sweep(snr_db, "SNR", db=True)
+
+
 def serial_ser_estimate(samples, mod, snr_db):
     """The SER estimator on the calling thread: a*Q(sqrt(2 b snr lambda))
     by ``specfun.gauss_q``, then each batch's size, mean and sum of
@@ -265,10 +270,15 @@ class TestEmpiricalCdf:
         se = math.sqrt(want * (1.0 - want) / cfg.trials)
         assert abs(value - want) <= 3.0 * se
 
-    def test_rejects_descending_grid(self):
-        cfg = montecarlo.McConfig(n_rx=1, n_tx=1, trials=10, seed=0)
-        with pytest.raises(ValidationError):
-            montecarlo.empirical_cdf(cfg, np.array([2.0, 1.0]))
+    def test_grid_in_any_order_and_shape(self):
+        # each point gives the value it has in the ascending grid
+        cfg = montecarlo.McConfig(n_rx=2, n_tx=2, trials=2_000, seed=5)
+        grid = np.linspace(-1.0, 6.0, 8)
+        want = montecarlo.empirical_cdf(cfg, grid)
+        got = montecarlo.empirical_cdf(cfg, grid[::-1])
+        assert got.tolist() == want[::-1].tolist()
+        got = montecarlo.empirical_cdf(cfg, grid[[3, 0, 7, 5, 1, 6]].reshape(2, 3))
+        assert got.tolist() == want[[3, 0, 7, 5, 1, 6]].reshape(2, 3).tolist()
 
 
 class TestMcSer:
@@ -348,7 +358,7 @@ class TestMcOutage:
         assert montecarlo.outage_estimate(samples, 7.5, gammas[:1]) == want[:1]
         assert montecarlo.outage_estimate(samples, 0.0, np.array([])) == []
 
-    def test_samples_checked_once_per_call(self, monkeypatch):
+    def test_samples_checked_once_per_call(self, monkeypatch, capsys):
         # and the SER estimator's batches run in one pool for every SNR
         samples = np.random.default_rng(8).exponential(1.0, 1000)
         calls = []
@@ -364,6 +374,35 @@ class TestMcOutage:
         assert calls == ["_checked_samples"]
         assert len(montecarlo.ser_estimate(samples, EIGHT_PSK, np.linspace(0.0, 40.0, 9))) == 9
         assert calls == ["_checked_samples", "_checked_samples", "_run_batches"]
+        # a draw is checked once, when it is drawn, and no estimate over it
+        # checks it again: the benchmark's crosscheck pass, a CLI outage
+        # sweep and then four mc_ser calls on one config, checks two draws
+        calls.clear()
+        flags = ["--nr", "3", "--nt", "3", "--with-mc", "--trials", "5000", "--seed", "3"]
+        assert cli.main(["outage", *flags, "--snr-db", "0", "--sweep", "3:12:19"]) == 0
+        assert calls.count("_checked_samples") == 1
+        cfg = montecarlo.McConfig(n_rx=2, n_tx=2, rho_rx=0.5, rho_tx=0.5, trials=5000, seed=3)
+        for snr in (0.0, 10.0, 20.0, 30.0):
+            montecarlo.mc_ser(cfg, EIGHT_PSK, snr)
+        assert calls.count("_checked_samples") == 2
+        montecarlo.mc_outage(cfg, 0.0, np.geomspace(0.1, 10.0, 19))
+        montecarlo.empirical_cdf(cfg, np.linspace(0.0, 8.0, 9))
+        montecarlo.simulate_lambda_max(cfg)
+        assert calls.count("_checked_samples") == 2
+        assert len(capsys.readouterr().out.splitlines()) == 20
+
+    def test_snr_array_refused_before_any_draw(self, drawn):
+        # the outage estimators take one SNR
+        samples = np.random.default_rng(9).exponential(1.0, 1000)
+        cfg = montecarlo.McConfig(n_rx=2, n_tx=2, trials=1000, seed=9)
+        for call in (
+            lambda: montecarlo.outage_estimate(samples, [0.0, 1.0], 2.0),
+            lambda: montecarlo.mc_outage(cfg, [0.0, 1.0], 2.0),
+            lambda: montecarlo.mc_outage(cfg, np.zeros((1, 1)), [2.0, 3.0]),
+        ):
+            with pytest.raises(ValidationError, match="SNR must be a number, got shape"):
+                call()
+        assert drawn == []
 
     @pytest.mark.parametrize("gammas, bad", [
         ([1.0, 0.0, 2.0], "0.0"),
@@ -490,14 +529,14 @@ class TestWorkers:
         snrs = (0.0, 30.0)
         want = [serial_ser_estimate(samples, mod, snr_db) for snr_db in snrs]
         with switching_often():
-            got = [montecarlo._ser_estimate(samples, mod, snrs, w) for w in (1, 2, 3, 4)]
+            got = [montecarlo._ser_estimate(samples, mod, linear(snrs), w) for w in (1, 2, 3, 4)]
         for workers, results in zip((1, 2, 3, 4), got):
             assert [(r.estimate, r.std_error, r.trials) for r in results] == want, workers
 
     def test_estimator_worker_error_reaches_the_caller(self, monkeypatch):
         samples = np.random.default_rng(12).exponential(1.0, 3 * self.BATCH)
         mod = performance.modulation_preset("qpsk")
-        want = montecarlo._ser_estimate(samples, mod, 10.0, 1)
+        want = montecarlo._ser_estimate(samples, mod, linear(10.0), 1)
         kernel = montecarlo.gauss_q_upper_into
         calls = itertools.count()
 
@@ -509,8 +548,8 @@ class TestWorkers:
         with monkeypatch.context() as patch:
             patch.setattr(montecarlo, "gauss_q_upper_into", failing)
             with pytest.raises(NumericalError, match="injected"):
-                montecarlo._ser_estimate(samples, mod, 10.0, 2)
-        assert montecarlo._ser_estimate(samples, mod, 10.0, 2) == want
+                montecarlo._ser_estimate(samples, mod, linear(10.0), 2)
+        assert montecarlo._ser_estimate(samples, mod, linear(10.0), 2) == want
 
     def test_memory_bounded_by_the_buffers(self, monkeypatch):
         # Beyond the output, each drawing worker holds one batch's real
@@ -542,7 +581,9 @@ class TestWorkers:
             allocated.clear()
             tracemalloc.reset_peak()
             before = tracemalloc.get_traced_memory()[0]
-            montecarlo._ser_estimate(samples, performance.modulation_preset("8psk"), 10.0, workers)
+            montecarlo._ser_estimate(
+                samples, performance.modulation_preset("8psk"), linear(10.0), workers
+            )
             growth = tracemalloc.get_traced_memory()[1] - before
         finally:
             tracemalloc.stop()
@@ -850,7 +891,7 @@ class TestEstimators:
 
     def test_cli_estimates_each_sweep_in_one_call(self, capsys, monkeypatch):
         calls = []
-        for name in ("outage_estimate", "ser_estimate"):
+        for name in ("mc_outage", "mc_ser"):
             estimate = getattr(montecarlo, name)
 
             def counting(*args, name=name, estimate=estimate):
@@ -860,11 +901,11 @@ class TestEstimators:
             monkeypatch.setattr(montecarlo, name, counting)
         flags = ["--nr", "2", "--nt", "2", "--with-mc", "--trials", "5000", "--seed", "3"]
         assert cli.main(["outage", *flags, "--snr-db", "5", "--sweep", "0:10:7"]) == 0
-        assert calls == ["outage_estimate"]
+        assert calls == ["mc_outage"]
         rows = capsys.readouterr().out.splitlines()[1:]
         assert len(rows) == 7 and all(len(row.split(",")) == 5 for row in rows)
         assert cli.main(["ser", *flags, "--mod", "8psk", "--sweep", "0:40:9"]) == 0
-        assert calls == ["outage_estimate", "ser_estimate"]
+        assert calls == ["mc_outage", "mc_ser"]
         rows = capsys.readouterr().out.splitlines()[1:]
         assert len(rows) == 9 and all(len(row.split(",")) == 5 for row in rows)
 

@@ -31,6 +31,9 @@ SNR_GOOD = [-3076.5, -1000.0, -5.0, 0.0, 12.5, 30.0, 3082.5]
 SNR_BAD = [math.nan, math.inf, -math.inf, 4000.0, -4000.0, 3082.6, -3076.6]
 GAMMA_GOOD = [1e-3, 0.5, 1.0, 10.0, 1e300]
 GAMMA_BAD = [math.nan, math.inf, -math.inf, 0.0, -1.0]
+# The empirical c.d.f. is 0 below every sample, down to the most negative double.
+GRID_GOOD = [-1.7976931348623157e308, -1.0, *X_GOOD]
+GRID_BAD = [math.nan, math.inf, -math.inf]
 
 
 def config():
@@ -59,7 +62,8 @@ CASES = {
     "outage_estimate": (lambda p, s, c: montecarlo.outage_estimate(s, 3.0, p),
                         GAMMA_GOOD, GAMMA_BAD),
     "mc_outage": (lambda p, s, c: mm.mc_outage(c, 3.0, p), GAMMA_GOOD, GAMMA_BAD),
-    # the estimators' SNR is a number
+    "empirical_cdf": (lambda p, s, c: mm.empirical_cdf(c, p), GRID_GOOD, GRID_BAD),
+    # the outage estimators' SNR is a number
     "outage_estimate-snr_db": (lambda p, s, c: montecarlo.outage_estimate(s, p, 2.0),
                                None, SNR_BAD),
     "mc_outage-snr_db": (lambda p, s, c: mm.mc_outage(c, p, 2.0), None, SNR_BAD),
@@ -119,8 +123,6 @@ def test_one_convention(name, evaluations):
     evaluations.clear()
     for b in bad:
         for points in (b, [fine, b], [b, fine, fine]):
-            if good is None and np.ndim(points):
-                continue
             with pytest.raises(mm.ValidationError, match=re.escape(f"got {b!r}")):
                 call(points, samples, config())
     assert evaluations == []
