@@ -1,9 +1,10 @@
 """Command-line front end: distribution, SER, and outage sweeps as CSV,
 plus a scalar summary of the high-SNR analysis.
 
-Exit status: 0 on success, 2 on flag validation problems, 1 on numerical
-failure. CSV output uses a header row, comma delimiters, LF line endings
-and 17-significant-digit values.
+Exit status: 0 on success, 2 on flag validation problems and on a file
+that cannot be read or written, 1 on numerical failure. CSV output uses
+a header row, comma delimiters, LF line endings and 17-significant-digit
+values.
 """
 
 from __future__ import annotations
@@ -251,7 +252,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(_join_sweep_values(list(argv)))
     try:
         return _COMMANDS[args.command](parser, args)
-    except ValidationError as exc:
+    except (ValidationError, OSError) as exc:  # a bad flag, or a file it cannot use
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except NumericalError as exc:

@@ -129,9 +129,13 @@ def save_matrix_csv(path, matrix) -> None:
     """Write a square matrix as CSV, one row per line.
 
     Real entries are written plain; complex entries as ``re+imj``. The
-    same format is accepted by :func:`load_matrix_csv`.
+    same format is accepted by :func:`load_matrix_csv`, so any matrix that
+    it would refuse (one that is not square, or empty) raises
+    ``ValidationError`` before the file is opened.
     """
     m = linalg.as_matrix(matrix)
+    if m.shape[0] != m.shape[1] or m.size == 0:
+        raise ValidationError(f"matrix must be square and nonempty, got shape {m.shape}")
     with open(path, "w", newline="\n") as fh:
         for row in m:
             fh.write(",".join(_format_entry(complex(z)) for z in row) + "\n")

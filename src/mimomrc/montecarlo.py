@@ -4,9 +4,9 @@ distribution and error-rate formulas.
 A Kronecker channel corr_rx^{1/2} * white * corr_tx^{1/2} has the same
 largest-eigenvalue law as diag(l_rx)^{1/2} * white * diag(l_tx)^{1/2},
 because a white complex Gaussian matrix is unitarily invariant; l_rx and
-l_tx are the eigenvalues of the two correlations. They come from
-``correlation.correlation_eigenvalues``, the check the analytic model
-uses too, so the simulator and the model accept exactly the same
+l_tx are the eigenvalues of the two correlations. They come from the
+config's correlation pair (:func:`to_pair`), the one the analytic model
+is built on, so the simulator and the model accept exactly the same
 matrices. The simulator therefore draws each entry (i, j) as a complex
 Gaussian of variance l_rx[i] * l_tx[j], with no matrix square root (the
 tests keep the full-matrix draw as its reference), and takes the largest
@@ -15,10 +15,10 @@ to three antennas there, by ``eigvalsh`` from four. For three the
 closed form is the trigonometric root of the characteristic cubic; the
 rows where it would lose accuracy (a near-tied top pair, or three nearly
 equal eigenvalues) are recomputed by ``eigvalsh``. One routine forms
-the Gram entries for every antenna count, on real planes (the channels'
-real and imaginary parts laid out (n_min, n_max, rows), rows innermost):
-each column's term first, the columns added left to right (see
-:func:`_gram_entries`).
+the Gram entries for every antenna count, once per block, on real planes
+(the channels' real and imaginary parts laid out (n_min, n_max, rows),
+rows innermost): each column's term first, the columns added left to
+right (see :func:`_gram_entries`).
 
 Trials are partitioned into fixed-size batches, each driven by its own
 jumped Philox stream keyed by (seed, batch index), and batch statistics
@@ -55,7 +55,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import linalg
-from .correlation import CorrelationPair, correlation_eigenvalues, exp_correlation, make_pair
+from .correlation import CorrelationPair, exp_correlation, make_pair
 from .errors import ValidationError, checked_points
 from .performance import Modulation
 from .specfun import gauss_q_upper_into
@@ -147,6 +147,11 @@ def _batch_rng(seed: int, index: int) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(seed).jumped(index))
 
 
+# A channel's power bounds its Gram entries and eigenvalues; below this
+# bound none of the kernels' sums can overflow.
+_MAX_POWER = 2.0**1020
+
+
 def lambda_max(h) -> np.ndarray:
     """Largest eigenvalue of the Gram matrix of each channel in a
     (count, n_rx, n_tx) batch.
@@ -159,12 +164,21 @@ def lambda_max(h) -> np.ndarray:
     cannot resolve (see :func:`_three_lambda_max`); with four or more,
     ``eigvalsh``. The channels are taken as complex128 and laid out as the
     planes the simulator computes on (see :func:`_planar_lambda_max`).
-    Raises ``ValidationError`` unless ``h`` is a 3-D array with at least
-    one antenna on each side.
+    Raises ``ValidationError``, before any of that runs, unless ``h`` is
+    a 3-D array with at least one antenna on each side, and each channel's
+    power (the sum of its entries' squared magnitudes, the Gram matrix's
+    trace, which bounds every Gram entry) lies below 2^1020, about 1e307,
+    or 2^510 with two antennas, where the closed form squares the entries.
     """
     h = np.asarray(h, dtype=np.complex128)
     if h.ndim != 3 or 0 in h.shape[1:]:
         raise ValidationError(f"channels must be a (count, n_rx, n_tx) array, got shape {h.shape}")
+    with np.errstate(over="ignore"):
+        power = np.sum(h.real**2 + h.imag**2, axis=(1, 2))
+    limit = math.sqrt(_MAX_POWER) if min(h.shape[1:]) == 2 else _MAX_POWER
+    if not np.all(power < limit):  # NaN too, which max reports
+        raise ValidationError(f"each channel's squared magnitudes must sum below {limit:.4g}, "
+                              f"got {float(power.max())!r}")
     h = h.transpose(_plane_axes(h.shape[1], h.shape[2]))
     planes = np.array((h.real, h.imag), order="C")
     out = np.empty(h.shape[2])
@@ -236,21 +250,21 @@ def _planar_lambda_max(planes: np.ndarray, out: np.ndarray, flat: np.ndarray, gr
     rows contiguous. ``flat`` and ``gram`` are the buffers of
     :func:`_planar_work`.
 
-    The Gram entries come from :func:`_gram_entries` and go to the closed
-    forms of :func:`lambda_max` for up to three antennas, to ``eigvalsh``
-    from four.
+    The Gram entries are formed once, by :func:`_gram_entries`, and go to
+    the closed forms of :func:`lambda_max` for up to three antennas, to
+    :func:`_gram_lambda_max` from four.
     """
     _, n, _, rows = planes.shape
     flat = flat[:, :rows]
-    if n == 3:
-        _three_lambda_max(planes, out, flat)
-        return
-    if n > 3:
-        out[:] = _gram_lambda_max(planes, flat, gram[..., :rows])
-        return
     sums = _gram_entries(planes, flat)
     if n == 1:
         out[:] = sums[0, 0]
+        return
+    if n == 3:
+        _three_lambda_max(planes, sums, flat, out)
+        return
+    if n > 3:
+        out[:] = _gram_lambda_max(sums, gram[..., :rows])
         return
     # a = A_00, d = A_11 and b = A_10, with (re, im) = cross
     (a, d), cross = sums[0, :2], sums[:, 2]
@@ -267,14 +281,13 @@ def _planar_lambda_max(planes: np.ndarray, out: np.ndarray, flat: np.ndarray, gr
     out += mean
 
 
-def _gram_lambda_max(planes: np.ndarray, flat: np.ndarray, gram: np.ndarray) -> np.ndarray:
-    """Largest eigenvalue of each h h^H, by ``eigvalsh``, for the planes
-    (2, n, m, rows), with the buffers of :func:`_planar_work`: ``flat``
-    and the complex (n, n, rows) ``gram``, zeroed. Only the lower
-    triangle, which ``eigvalsh`` reads, is written, and the diagonal's
-    im parts stay zero."""
-    n = planes.shape[1]
-    sums = _gram_entries(planes, flat)
+def _gram_lambda_max(sums: np.ndarray, gram: np.ndarray) -> np.ndarray:
+    """Largest eigenvalue of each Gram matrix, by ``eigvalsh``, from its
+    entries ``sums`` as :func:`_gram_entries` lays them out, copied into
+    the complex (n, n, rows) ``gram``, zeroed (see :func:`_planar_work`).
+    Only the lower triangle, which ``eigvalsh`` reads, is written, and the
+    diagonal's im parts stay zero."""
+    n = gram.shape[0]
     # (i, k) of each entry, in the order _gram_entries writes them
     i, k = np.array([(d + j, j) for d in range(n) for j in range(n - d)]).T
     gram.real[i, k] = sums[0]
@@ -296,8 +309,12 @@ _TIE_LIMIT = 1e-4
 _SPREAD_LIMIT = 1e-6
 
 
-def _three_lambda_max(planes: np.ndarray, out: np.ndarray, flat: np.ndarray) -> None:
-    """:func:`_planar_lambda_max` for three antennas.
+def _three_lambda_max(
+    planes: np.ndarray, sums: np.ndarray, flat: np.ndarray, out: np.ndarray
+) -> None:
+    """:func:`_planar_lambda_max` for three antennas, from the Gram
+    entries ``sums`` that :func:`_gram_entries` wrote into the first rows
+    of ``flat``; the rest of ``flat`` is scratch.
 
     With q = tr(A)/3, p^2 = ||A - qI||_F^2 / 6 and r = det(A - qI)/(2 p^3),
     the largest eigenvalue is q + 2p cos(acos(r)/3) (O. K. Smith, CACM
@@ -305,10 +322,10 @@ def _three_lambda_max(planes: np.ndarray, out: np.ndarray, flat: np.ndarray) -> 
     terms of A are scaled by 1/q so that p^3 cannot underflow or overflow.
     As in J. Kopp's hybrid method (IJMPC 2008), rows where the closed form
     is inaccurate, r too close to -1 or p/q too small, are recomputed by
-    ``eigvalsh``.
+    ``eigvalsh``. The scaling is done in place, so those rows form their
+    Gram entries again from their planes.
     """
     rows = planes.shape[3]
-    sums = _gram_entries(planes, flat)
     # a_i = A_ii, and A_ik = x + iy for (i, k) = (1, 0), (2, 1), (2, 0)
     a, x, y = sums[0, :3], sums[0, 3:], sums[1, 3:]
     s, part, squares = flat[12:21].reshape(3, 3, rows)
@@ -371,8 +388,8 @@ def _three_lambda_max(planes: np.ndarray, out: np.ndarray, flat: np.ndarray) -> 
     if not resolved.all():
         again = ~resolved
         count = int(np.count_nonzero(again))
-        gram = np.zeros((3, 3, count), dtype=np.complex128)
-        out[again] = _gram_lambda_max(planes[..., again], *_planar_work(3, count), gram)
+        entries = _gram_entries(planes[..., again], *_planar_work(3, count))
+        out[again] = _gram_lambda_max(entries, np.zeros((3, 3, count), dtype=np.complex128))
 
 
 def _worker_count() -> int:
@@ -399,13 +416,13 @@ def simulate_lambda_max(cfg: McConfig) -> np.ndarray:
     ``i`` holds trials ``i * _BATCH`` onward and is drawn from its own
     stream, so the samples do not depend on the worker count. Each worker
     draws into buffers this thread allocates before the pool starts: one
-    batch's real normals (``n_rx·n_tx·0.5`` MB), ``_BLOCK`` rows of
+    batch's real normals (``n_rx·n_tx·0.5`` MiB), ``_BLOCK`` rows of
     imaginary normals, the two planes of ``_BLOCK`` channels and the
-    λmax kernel's work buffers. A worker holds 1.9 MB beyond the real
-    normals on 2x2, 3.6 MB on 3x3 and 7.8 MB on 4x4, besides the
+    λmax kernel's work buffers. A worker holds 1.9 MiB beyond the real
+    normals on 2x2, 3.6 MiB on 3x3 and 7.8 MiB on 4x4, besides the
     (trials,) output. Raises ``ValidationError`` for a correlation matrix
-    that :func:`~mimomrc.correlation.make_pair` refuses too (see
-    :func:`~mimomrc.correlation.correlation_eigenvalues`).
+    that :func:`~mimomrc.correlation.make_pair` refuses, with its message
+    (see :func:`~mimomrc.correlation.correlation_eigenvalues`).
     """
     out = _DRAWS.get(cfg)
     if out is None:
@@ -416,15 +433,17 @@ def simulate_lambda_max(cfg: McConfig) -> np.ndarray:
 
 def _draw(cfg: McConfig, workers: int) -> np.ndarray:
     """The config's samples, drawn afresh by ``workers`` threads (see
-    :func:`_run_batches`)."""
-    rx, tx = corr_matrices(cfg)
-    rx_eigs = correlation_eigenvalues(rx, "receive")
-    tx_eigs = correlation_eigenvalues(tx, "transmit")
-    std = np.sqrt(0.5 * np.outer(rx_eigs, tx_eigs))
+    :func:`_run_batches`).
+
+    The entries' standard deviations come from the correlation pair of
+    :func:`to_pair`, whose minor side is the planes' first axis: they are
+    already laid out as the planes, (n_min, n_max, 1). The normals, drawn
+    (rows, n_rx, n_tx), are transposed into that layout by
+    :func:`_plane_axes`.
+    """
+    pair = to_pair(cfg)
+    std = np.sqrt(0.5 * np.outer(pair.minor_eigs, pair.major_eigs))[..., None]
     axes = _plane_axes(cfg.n_rx, cfg.n_tx)
-    # the standard deviations laid out as the planes, (n_min, n_max, 1)
-    std = std[None].transpose(axes)
-    n, m = std.shape[:2]
     out = np.empty(cfg.trials)
     batch = min(_BATCH, cfg.trials)
     block = min(_BLOCK, batch)
@@ -433,8 +452,8 @@ def _draw(cfg: McConfig, workers: int) -> np.ndarray:
         return (
             np.empty((batch, cfg.n_rx, cfg.n_tx)),
             np.empty((block, cfg.n_rx, cfg.n_tx)),
-            np.empty((2, n, m, block)),
-            *_planar_work(n, block),
+            np.empty((2, pair.n_min, pair.n_max, block)),
+            *_planar_work(pair.n_min, block),
         )
 
     def run(index, buffers):

@@ -95,12 +95,9 @@ MODULATIONS = {
 
 
 def modulation_preset(name: str) -> Modulation:
-    try:
+    if isinstance(name, str) and name.lower() in MODULATIONS:
         return MODULATIONS[name.lower()]
-    except KeyError:
-        raise ValidationError(
-            f"unknown modulation {name!r}; choose from {sorted(MODULATIONS)}"
-        ) from None
+    raise ValidationError(f"unknown modulation {name!r}; choose from {sorted(MODULATIONS)}")
 
 
 def _cdf_argument(snr: np.ndarray, gbar: np.ndarray) -> np.ndarray:

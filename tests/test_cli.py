@@ -293,6 +293,20 @@ class TestExitCodes:
         assert len(result.stderr.splitlines()) == 1
         assert re.fullmatch(f"error: .*{bad}\n", result.stderr), result.stderr
 
+    @pytest.mark.parametrize("flag, path, bad", [
+        ("--corr-rx-file", "missing.csv", "No such file or directory: '.*missing.csv'"),
+        ("--out", "missing/x.csv", "No such file or directory: '.*missing/x.csv'"),
+    ], ids=["read", "write"])
+    def test_file_it_cannot_use_exits_2(self, tmp_path, flag, path, bad):
+        # one error line, no traceback
+        target = tmp_path / path
+        result = run_as_user(["cdf", "--nr", "2", "--nt", "2", "--sweep", "0:1:3",
+                              flag, str(target)])
+        assert result.returncode == 2 and result.stdout == ""
+        assert len(result.stderr.splitlines()) == 1
+        assert re.fullmatch(f"error: .*{bad}\n", result.stderr), result.stderr
+        assert not target.exists()
+
     def test_asymptote_past_the_double_range_is_inf(self):
         # 2x2 rho .5 8PSK at -1000 dB: (array_gain * snr)^-4 is about 1e400
         result = run_as_user(["ser", *self.GEO, "--mod", "8psk", "--sweep", "-1000:0:3"])

@@ -180,6 +180,13 @@ class TestCsvRoundTrip:
         with pytest.raises(ValidationError):
             correlation.load_matrix_csv(path)
 
+    @pytest.mark.parametrize("mat", [[[1.0, 0.5, 0.2]], np.zeros((0, 0))], ids=["1x3", "0x0"])
+    def test_save_refuses_what_load_refuses(self, tmp_path, mat):
+        path = tmp_path / "bad.csv"
+        with pytest.raises(ValidationError, match="must be square and nonempty"):
+            correlation.save_matrix_csv(path, mat)
+        assert not path.exists()
+
     def test_rejects_garbage(self, tmp_path):
         path = tmp_path / "bad.csv"
         path.write_text("1,frog\nfrog,1\n")

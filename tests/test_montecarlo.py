@@ -11,6 +11,7 @@ import subprocess
 import sys
 import threading
 import tracemalloc
+import warnings
 import weakref
 from pathlib import Path
 
@@ -522,6 +523,27 @@ class TestWorkers:
         got = montecarlo.simulate_lambda_max(cfg)
         assert got.tobytes() == want.tobytes()
 
+    @pytest.mark.parametrize("n, nbytes", [(2, 1_966_080), (3, 3_735_552), (4, 8_126_464)])
+    def test_draw_buffers_are_as_documented(self, n, nbytes, monkeypatch):
+        # simulate_lambda_max states each worker's buffers: the real normals,
+        # n_rx·n_tx·0.5 MiB, and beyond them 1.9 MiB on 2x2, 3.6 MiB on 3x3
+        # and 7.8 MiB on 4x4
+        cfg = montecarlo.McConfig(n_rx=n, n_tx=n, trials=self.BATCH + 1, seed=5)
+        allocated = []
+        run_batches = montecarlo._run_batches
+
+        def recording(batches, workers, allocate, run):
+            def recorded():
+                real, *rest = allocate()
+                allocated.append((real.nbytes, sum(b.nbytes for b in rest)))
+                return (real, *rest)
+
+            return run_batches(batches, workers, recorded, run)
+
+        monkeypatch.setattr(montecarlo, "_run_batches", recording)
+        montecarlo._draw(cfg, 2)
+        assert allocated == [(n * n * self.BATCH * 8, nbytes)] * 2
+
     @pytest.mark.parametrize("size", [1, BATCH - 1, BATCH + 1, 3 * BATCH + 7])
     def test_pooled_estimator_equals_the_serial_reference(self, size):
         samples = np.random.default_rng(size).exponential(2.0, size)
@@ -787,6 +809,31 @@ class TestLambdaMaxInput:
     def test_refuses_anything_but_channels(self, shape):
         with pytest.raises(ValidationError, match="channels must be"):
             montecarlo.lambda_max(np.ones(shape))
+
+    @pytest.mark.parametrize("n, bad", [
+        *itertools.product(range(1, 5), [math.nan, math.inf, -math.inf, 1e200]),
+        (2, 1e100),  # the closed form would square Gram entries of 1e200
+    ])
+    @pytest.mark.parametrize("part", ["re", "im"])
+    def test_refuses_what_it_cannot_compute(self, n, bad, part):
+        # refused before any kernel runs: no numpy warning, no LinAlgError
+        h = np.ones((3, n, n), dtype=np.complex128)
+        h[1, n - 1, 0] = complex(bad, 0.0) if part == "re" else complex(0.0, bad)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValidationError, match="squared magnitudes must sum below"):
+                montecarlo.lambda_max(h)
+
+    @pytest.mark.parametrize("n_rx, n_tx", [(1, 2), (2, 2), (3, 2), (3, 3), (3, 4), (4, 4)])
+    def test_largest_accepted_channels(self, n_rx, n_tx):
+        # just below the power bound every kernel computes without a warning
+        h = _draw_white(np.random.default_rng(67), 200, n_rx, n_tx)
+        limit = montecarlo._MAX_POWER ** (0.5 if min(n_rx, n_tx) == 2 else 1.0)
+        h *= math.sqrt(0.999 * limit) / np.linalg.norm(h, axis=(1, 2))[:, None, None]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = montecarlo.lambda_max(h)
+        assert np.max(np.abs(got / eigvalsh_lambda_max(h) - 1.0)) <= 1e-13
 
 
 # Declared before the first run: (n_rx, n_tx, rho_rx, rho_tx) at

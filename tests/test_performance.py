@@ -42,6 +42,10 @@ class TestModulation:
         with pytest.raises(ValidationError):
             performance.modulation_preset("64qam")
 
+    def test_preset_name_must_be_a_string(self):
+        with pytest.raises(ValidationError, match="choose from"):
+            performance.modulation_preset(None)
+
     def test_rejects_bad_constants(self):
         with pytest.raises(ValidationError):
             performance.Modulation("x", a=0.0, b=1.0)
