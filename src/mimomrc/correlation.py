@@ -7,16 +7,26 @@ roles already assigned, which is the form the distribution code needs.
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import linalg
-from .errors import ValidationError
+from .errors import ValidationError, check_count
 
 # Unit-diagonal / Hermitian tolerance for user-supplied matrices. Files may
 # carry rounding; beyond this we hard-fail rather than silently renormalize.
 _INPUT_TOL = 1e-10
+
+
+def checked_rho(rho, name: str = "rho") -> float:
+    """``rho`` as a float, if it is a real number (not a bool) in [0, 1),
+    the range of the exponential model; else ``ValidationError`` names
+    ``name``. :func:`exp_correlation` and the Monte-Carlo config share it."""
+    if isinstance(rho, numbers.Real) and not isinstance(rho, bool) and 0.0 <= rho < 1.0:
+        return float(rho)
+    raise ValidationError(f"{name} must be a real number in [0, 1), got {rho!r}")
 
 
 def exp_correlation(rho: float, size: int) -> np.ndarray:
@@ -25,11 +35,8 @@ def exp_correlation(rho: float, size: int) -> np.ndarray:
     Real symmetric Toeplitz with unit diagonal; positive-definite for
     0 <= rho < 1.
     """
-    rho = float(rho)
-    if not (0.0 <= rho < 1.0):
-        raise ValidationError(f"rho must lie in [0, 1), got {rho!r}")
-    if not isinstance(size, (int, np.integer)) or size < 1:
-        raise ValidationError(f"size must be a positive integer, got {size!r}")
+    rho = checked_rho(rho)
+    check_count(size, "size")
     idx = np.arange(size)
     return (rho ** np.abs(idx[:, None] - idx[None, :])).astype(np.complex128)
 
@@ -144,18 +151,19 @@ def save_matrix_csv(path, matrix) -> None:
 def load_matrix_csv(path) -> np.ndarray:
     """Read a square numeric grid written by :func:`save_matrix_csv`.
 
-    Accepts plain reals or ``re+imj`` complex entries.
+    Accepts plain reals or ``re+imj`` complex entries; raises
+    ``ValidationError`` naming ``path`` for anything else, or for bytes
+    that are not text.
     """
     rows = []
-    with open(path) as fh:
-        for line in fh:
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                rows.append([complex(tok.strip()) for tok in line.split(",")])
-            except ValueError as exc:
-                raise ValidationError(f"unparseable matrix entry in {path}: {exc}") from exc
+    try:
+        with open(path) as fh:
+            for line in fh:
+                line = line.strip()
+                if line:
+                    rows.append([complex(tok.strip()) for tok in line.split(",")])
+    except ValueError as exc:  # UnicodeDecodeError is one too
+        raise ValidationError(f"unparseable matrix file {path}: {exc}") from exc
     if not rows:
         raise ValidationError(f"no matrix rows found in {path}")
     width = len(rows[0])

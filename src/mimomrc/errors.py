@@ -1,5 +1,5 @@
-"""Exception types shared across the package, and the one check that every
-point-wise function makes of its point inputs."""
+"""Exception types shared across the package, and the one check each of
+point inputs and of counts."""
 
 import math
 import sys
@@ -69,3 +69,14 @@ def checked_points(values, name: str, db: bool = False) -> np.ndarray:
             raise ValidationError(f"{name} must lie within about -3076.5 to 3082.5 dB, where "
                                   f"its linear value is a normal double, got {v!r} dB")
     return np.array(linear).reshape(points.shape)
+
+
+def check_count(value, name: str, low: int = 1, high: int | None = None) -> None:
+    """Refuse, with ``ValidationError`` naming ``name``, a ``value`` that is
+    not an integer (a bool is not one), or is below ``low`` or, given
+    ``high``, not below ``high``."""
+    if (isinstance(value, (int, np.integer)) and not isinstance(value, bool)
+            and low <= value and (high is None or value < high)):
+        return
+    rule = f">= {low}" if high is None else f"in [{low}, {high})"
+    raise ValidationError(f"{name} must be an integer {rule}, got {value!r}")

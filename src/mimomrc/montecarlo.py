@@ -55,8 +55,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import linalg
-from .correlation import CorrelationPair, exp_correlation, make_pair
-from .errors import ValidationError, checked_points
+from .correlation import CorrelationPair, checked_rho, exp_correlation, make_pair
+from .errors import ValidationError, check_count, checked_points
 from .performance import Modulation
 from .specfun import gauss_q_upper_into
 
@@ -68,10 +68,6 @@ _BLOCK = 8192
 
 # Each config's samples, kept for as long as the config object lives.
 _DRAWS: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
-
-
-def _is_integer(value) -> bool:
-    return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
 
 
 @dataclass(frozen=True, eq=False)
@@ -95,17 +91,11 @@ class McConfig:
     seed: int = 12345
 
     def __post_init__(self):
-        if not _is_integer(self.n_rx) or self.n_rx < 1:
-            raise ValidationError(f"n_rx must be a positive integer, got {self.n_rx!r}")
-        if not _is_integer(self.n_tx) or self.n_tx < 1:
-            raise ValidationError(f"n_tx must be a positive integer, got {self.n_tx!r}")
-        if not _is_integer(self.trials) or self.trials < 1:
-            raise ValidationError(f"trials must be a positive integer, got {self.trials!r}")
-        if not _is_integer(self.seed) or not 0 <= self.seed < 2**64:
-            raise ValidationError(f"seed must be a 64-bit unsigned integer, got {self.seed!r}")
-        for rho, label in ((self.rho_rx, "rho_rx"), (self.rho_tx, "rho_tx")):
-            if not (0.0 <= float(rho) < 1.0):
-                raise ValidationError(f"{label} must lie in [0, 1), got {rho!r}")
+        for label in ("n_rx", "n_tx", "trials"):
+            check_count(getattr(self, label), label)
+        check_count(self.seed, "seed", low=0, high=2**64)
+        checked_rho(self.rho_rx, "rho_rx")
+        checked_rho(self.rho_tx, "rho_tx")
         for size, label in ((self.n_rx, "rx_corr"), (self.n_tx, "tx_corr")):
             mat = getattr(self, label)
             if mat is None:
@@ -147,9 +137,14 @@ def _batch_rng(seed: int, index: int) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(seed).jumped(index))
 
 
-# A channel's power bounds its Gram entries and eigenvalues; below this
-# bound none of the kernels' sums can overflow.
+# A channel's power bounds its Gram entries and is at most n_min λmax.
+# Below _MAX_POWER no sum overflows; from _MIN_POWER on, subnormal products
+# cost λmax at most about n_min^2 n_max 2^-54. The 2x2 closed form squares
+# the entries: its bounds are sqrt(_MAX_POWER) and _MIN_POWER_PAIR, from
+# which a near tie's squared half gap, underflowing, costs 2e-14 at most.
 _MAX_POWER = 2.0**1020
+_MIN_POWER = 2.0**-1020
+_MIN_POWER_PAIR = 2.0**-490
 
 
 def lambda_max(h) -> np.ndarray:
@@ -167,18 +162,21 @@ def lambda_max(h) -> np.ndarray:
     Raises ``ValidationError``, before any of that runs, unless ``h`` is
     a 3-D array with at least one antenna on each side, and each channel's
     power (the sum of its entries' squared magnitudes, the Gram matrix's
-    trace, which bounds every Gram entry) lies below 2^1020, about 1e307,
-    or 2^510 with two antennas, where the closed form squares the entries.
+    trace, which bounds every Gram entry) lies below 2^1020 and is 0 (it
+    then gives 0) or at least 2^-1020; with two antennas, where the closed
+    form squares the entries, below 2^510 and 0 or at least 2^-490.
     """
     h = np.asarray(h, dtype=np.complex128)
     if h.ndim != 3 or 0 in h.shape[1:]:
         raise ValidationError(f"channels must be a (count, n_rx, n_tx) array, got shape {h.shape}")
     with np.errstate(over="ignore"):
         power = np.sum(h.real**2 + h.imag**2, axis=(1, 2))
-    limit = math.sqrt(_MAX_POWER) if min(h.shape[1:]) == 2 else _MAX_POWER
-    if not np.all(power < limit):  # NaN too, which max reports
-        raise ValidationError(f"each channel's squared magnitudes must sum below {limit:.4g}, "
-                              f"got {float(power.max())!r}")
+    low, high = ((_MIN_POWER_PAIR, math.sqrt(_MAX_POWER)) if min(h.shape[1:]) == 2
+                 else (_MIN_POWER, _MAX_POWER))
+    ok = (power < high) & ((power >= low) | (power == 0.0))
+    if not ok.all():  # NaN fails too
+        raise ValidationError(f"each channel's squared magnitudes must sum below {high:.4g}, "
+                              f"and to 0 or at least {low:.4g}, got {float(power[~ok][0])!r}")
     h = h.transpose(_plane_axes(h.shape[1], h.shape[2]))
     planes = np.array((h.real, h.imag), order="C")
     out = np.empty(h.shape[2])

@@ -9,6 +9,11 @@ giving an array of its shape (the outages broadcast the SNR against the
 thresholds), as :mod:`~mimomrc.eigdist` describes; an SNR is refused
 unless its linear value is a positive normal double (about -3076.5 to
 3082.5 dB). :func:`exact_ser` runs the quadratures of all its SNRs together.
+
+Both high-SNR laws are read off alpha, the leading coefficient of the
+c.d.f. F(x) ~ alpha x^(mn), mn = n_min n_max: the outage asymptote at
+x = gamma_th / snr, and the SER asymptote as its average of
+a Q(sqrt(2 b snr x)) (see :func:`high_snr_ser`).
 """
 
 from __future__ import annotations
@@ -19,11 +24,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .correlation import correlation_penalty
 # exact_cdf_stable is not called here; the benchmark's tracer wraps this binding
 from .eigdist import EigDistModel, asymptotic_cdf, cdf, exact_cdf_stable
 from .errors import QuadratureError, ValidationError, checked_points
-from .specfun import double_factorial_odd, log_multivariate_gamma_norm
+from .specfun import double_factorial_odd
 
 # Result tolerance for the SER quadrature: absolute 1e-12 or relative
 # 1e-8, whichever is looser.
@@ -366,27 +370,19 @@ class HighSnrSer:
 
 
 def high_snr_ser(model: EigDistModel, mod: Modulation) -> HighSnrSer:
-    """Diversity order and array gain of the high-SNR SER power law.
+    """Diversity order and array gain of the high-SNR SER power law, read
+    off the leading coefficient alpha of the c.d.f.
 
-    The diversity order is the antenna product regardless of correlation;
-    correlation scales the array gain down by the determinant penalty
-    factor. Accumulated in logs so large antenna counts cannot overflow.
+    Averaging a Q(sqrt(2 b snr x)) over F(x) ~ alpha x^(mn), mn = n_min n_max,
+    gives SER ~ (a/2) (2mn - 1)!! alpha (2 b snr)^(-mn). The diversity order
+    is mn whatever the correlation, which enters only through alpha, so
+    only the array gain 2b ((a/2) (2mn - 1)!! alpha)^(-1/mn). Accumulated
+    in logs so large antenna counts cannot overflow.
     """
-    n, m = model.n_min, model.n_max
-    mn = n * m
-    log_inner = (
-        math.log(mod.a)
-        + log_multivariate_gamma_norm(n, n)
-        - math.log(2.0)
-        - log_multivariate_gamma_norm(n, m + n)
-        + math.log(double_factorial_odd(mn))
-    )
-    log_gain = (
-        math.log(correlation_penalty(model.pair))
-        + math.log(2.0 * mod.b)
-        - log_inner / mn
-    )
-    return HighSnrSer(diversity_order=mn, array_gain=math.exp(log_gain))
+    mn = model.n_min * model.n_max
+    log_inner = math.log(mod.a / 2.0) + math.log(double_factorial_odd(mn)) + model.log_alpha
+    return HighSnrSer(diversity_order=mn,
+                      array_gain=math.exp(math.log(2.0 * mod.b) - log_inner / mn))
 
 
 def ser_asymptote_eval(hs: HighSnrSer, snr_db):

@@ -16,16 +16,18 @@ import math
 
 import numpy as np
 
-from .errors import ValidationError
+from .errors import check_count
 
 
 def multivariate_gamma_norm(n: int, m: int) -> int:
     """Normalized complex multivariate gamma: product_{i=1}^{n} Gamma(m - i + 1).
 
-    All arguments are positive integers here, so the result is the exact
-    integer product of factorials (m - i)!.
+    Both arguments are integers, n >= 1 and m >= n so that every gamma
+    argument is positive, and the result is the exact integer product of
+    factorials (m - i)!.
     """
-    _check_gamma_args(n, m)
+    check_count(n, "n")
+    check_count(m, "m", low=n)
     out = 1
     for i in range(1, n + 1):
         out *= math.factorial(m - i)
@@ -34,23 +36,14 @@ def multivariate_gamma_norm(n: int, m: int) -> int:
 
 def log_multivariate_gamma_norm(n: int, m: int) -> float:
     """log of ``multivariate_gamma_norm``, safe for large arguments."""
-    _check_gamma_args(n, m)
+    check_count(n, "n")
+    check_count(m, "m", low=n)
     return sum(math.lgamma(m - i + 1) for i in range(1, n + 1))
 
 
-def _check_gamma_args(n: int, m: int) -> None:
-    if not isinstance(n, (int, np.integer)) or n < 1:
-        raise ValidationError(f"n must be an integer >= 1, got {n!r}")
-    if not isinstance(m, (int, np.integer)) or m - n + 1 < 1:
-        raise ValidationError(
-            f"m must satisfy m - n + 1 >= 1 so every gamma argument is positive, got n={n}, m={m}"
-        )
-
-
 def double_factorial_odd(k: int) -> int:
-    """(2k - 1)!! = 1 * 3 * ... * (2k - 1) for k >= 1."""
-    if not isinstance(k, (int, np.integer)) or k < 1:
-        raise ValidationError(f"k must be an integer >= 1, got {k!r}")
+    """(2k - 1)!! = 1 * 3 * ... * (2k - 1) for an integer k >= 1."""
+    check_count(k, "k")
     return math.prod(range(1, 2 * k, 2))
 
 

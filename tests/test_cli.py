@@ -307,6 +307,16 @@ class TestExitCodes:
         assert re.fullmatch(f"error: .*{bad}\n", result.stderr), result.stderr
         assert not target.exists()
 
+    def test_file_that_is_not_text_exits_2(self, tmp_path):
+        # a UTF-16 byte-order mark: one error line naming the file, no traceback
+        target = tmp_path / "utf16.csv"
+        target.write_bytes(b"\xff\xfe" + "1,0\n0,1\n".encode("utf-16-le"))
+        result = run_as_user(["cdf", "--nr", "2", "--nt", "2", "--sweep", "0:1:3",
+                              "--corr-rx-file", str(target)])
+        assert result.returncode == 2 and result.stdout == ""
+        assert len(result.stderr.splitlines()) == 1
+        assert re.fullmatch(f"error: .*{re.escape(str(target))}.*\n", result.stderr), result.stderr
+
     def test_asymptote_past_the_double_range_is_inf(self):
         # 2x2 rho .5 8PSK at -1000 dB: (array_gain * snr)^-4 is about 1e400
         result = run_as_user(["ser", *self.GEO, "--mod", "8psk", "--sweep", "-1000:0:3"])

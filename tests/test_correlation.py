@@ -35,6 +35,21 @@ class TestExpCorrelation:
         with pytest.raises(ValidationError):
             correlation.exp_correlation(0.5, 0)
 
+    @pytest.mark.parametrize("size", [True, 2.0])
+    def test_size_must_be_an_integer(self, size):
+        with pytest.raises(ValidationError, match="size must be an integer"):
+            correlation.exp_correlation(0.5, size)
+
+    @pytest.mark.parametrize("rho", ["0.5", False, None, np.array(0.5), 0.5j])
+    def test_rho_must_be_a_real_number(self, rho):
+        with pytest.raises(ValidationError, match="rho must be a real number"):
+            correlation.exp_correlation(rho, 2)
+
+    @pytest.mark.parametrize("rho", [0, 0.5, np.float32(0.25), np.float64(0.9), np.int64(0)])
+    def test_rho_of_any_real_type(self, rho):
+        want = [[1.0, float(rho)], [float(rho), 1.0]]
+        np.testing.assert_array_equal(correlation.exp_correlation(rho, 2), want)
+
 
 class TestMakePair:
     def test_role_assignment_small_receive(self):

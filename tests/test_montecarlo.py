@@ -158,6 +158,15 @@ class TestConfigValidation:
         with pytest.raises(ValidationError):
             montecarlo.McConfig(n_rx=2, n_tx=2, rho_rx=1.0)
 
+    @pytest.mark.parametrize("field", ["rho_rx", "rho_tx"])
+    @pytest.mark.parametrize("rho", ["0.5", False])
+    def test_rho_must_be_a_real_number(self, field, rho):
+        # with a matrix on that side too: the rule does not depend on it
+        for mat in (None, np.eye(2)):
+            sides = {"rx_corr" if field == "rho_rx" else "tx_corr": mat}
+            with pytest.raises(ValidationError, match=field):
+                montecarlo.McConfig(n_rx=2, n_tx=2, **{field: rho}, **sides)
+
     def test_rejects_bad_seed(self):
         with pytest.raises(ValidationError):
             montecarlo.McConfig(n_rx=1, n_tx=1, seed=-1)
@@ -811,13 +820,15 @@ class TestLambdaMaxInput:
             montecarlo.lambda_max(np.ones(shape))
 
     @pytest.mark.parametrize("n, bad", [
-        *itertools.product(range(1, 5), [math.nan, math.inf, -math.inf, 1e200]),
+        *itertools.product(range(1, 5), [math.nan, math.inf, -math.inf, 1e200, 1e-160]),
         (2, 1e100),  # the closed form would square Gram entries of 1e200
     ])
     @pytest.mark.parametrize("part", ["re", "im"])
     def test_refuses_what_it_cannot_compute(self, n, bad, part):
         # refused before any kernel runs: no numpy warning, no LinAlgError
         h = np.ones((3, n, n), dtype=np.complex128)
+        if abs(bad) < 1.0:  # a channel of tiny entries, whose squares are subnormal
+            h[1] *= bad
         h[1, n - 1, 0] = complex(bad, 0.0) if part == "re" else complex(0.0, bad)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
@@ -834,6 +845,24 @@ class TestLambdaMaxInput:
             warnings.simplefilter("error")
             got = montecarlo.lambda_max(h)
         assert np.max(np.abs(got / eigvalsh_lambda_max(h) - 1.0)) <= 1e-13
+
+    @pytest.mark.parametrize("n_rx, n_tx", [(1, 2), (2, 2), (3, 2), (3, 3), (3, 4), (4, 4)])
+    def test_smallest_accepted_channels(self, n_rx, n_tx):
+        # just above the power floor every kernel computes without a warning,
+        # near-tied pairs too, whose squared half gap underflows in the 2x2
+        # closed form; a zero channel gives 0
+        h = np.zeros((237, n_rx, n_tx), dtype=np.complex128)
+        h[:200] = _draw_white(np.random.default_rng(71), 200, n_rx, n_tx)
+        h[200:236, 0, 0] = 1.0
+        if min(n_rx, n_tx) > 1:
+            h[200:236, 1, 1] = 1.0 + 2.0 ** -np.arange(5.0, 41.0)
+        floor = montecarlo._MIN_POWER_PAIR if min(n_rx, n_tx) == 2 else montecarlo._MIN_POWER
+        h[:236] *= math.sqrt(1.001 * floor) / np.linalg.norm(h[:236], axis=(1, 2))[:, None, None]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = montecarlo.lambda_max(h)
+        assert np.max(np.abs(got[:236] / eigvalsh_lambda_max(h[:236]) - 1.0)) <= 1e-13
+        assert got[236] == 0.0
 
 
 # Declared before the first run: (n_rx, n_tx, rho_rx, rho_tx) at

@@ -1,6 +1,7 @@
 """SER and outage analytics: closed-form oracles, power-law structure,
 correlation penalties, Monte-Carlo agreement."""
 
+import itertools
 import math
 import os
 import resource
@@ -241,6 +242,29 @@ class TestHighSnr:
         for n_rx, n_tx in [(1, 3), (2, 3), (3, 4)]:
             hs = performance.high_snr_ser(model_for(0.4, n_rx, 0.2, n_tx), mod)
             assert hs.diversity_order == n_rx * n_tx
+
+    @pytest.mark.parametrize("n_rx", range(1, 5))
+    @pytest.mark.parametrize("n_tx", range(1, 5))
+    def test_array_gain_from_gammas_and_penalty(self, n_rx, n_tx):
+        # the gain written out from the multivariate gammas, the determinant
+        # penalty (exponential-model determinants (1 - rho^2)^(size - 1))
+        # and (2mn - 1)!!, against the one read off alpha
+        n, m = sorted((n_rx, n_tx))
+        mn = n * m
+
+        def log_gamma_norm(k):
+            return sum(math.lgamma(k - i + 1) for i in range(1, n + 1))
+
+        for rho_rx, rho_tx in itertools.product([0.0, 0.5, 0.9], repeat=2):
+            model = model_for(rho_rx, n_rx, rho_tx, n_tx)
+            penalty = ((1.0 - rho_rx**2) ** ((n_rx - 1) / n_rx)
+                       * (1.0 - rho_tx**2) ** ((n_tx - 1) / n_tx))
+            for mod in performance.MODULATIONS.values():
+                log_inner = (math.log(mod.a) + log_gamma_norm(n) - math.log(2.0)
+                             - log_gamma_norm(m + n) + math.log(math.prod(range(1, 2 * mn, 2))))
+                want = penalty * 2.0 * mod.b * math.exp(-log_inner / mn)
+                got = performance.high_snr_ser(model, mod).array_gain
+                assert got == pytest.approx(want, rel=4e-15, abs=0.0), (rho_rx, rho_tx, mod.name)
 
     def test_array_gain_ratio_is_penalty(self):
         mod = performance.modulation_preset("8psk")

@@ -36,6 +36,14 @@ class TestMultivariateGammaNorm:
         with pytest.raises(ValidationError):
             specfun.multivariate_gamma_norm(0, 2)
 
+    @pytest.mark.parametrize("fn", [specfun.multivariate_gamma_norm,
+                                    specfun.log_multivariate_gamma_norm])
+    @pytest.mark.parametrize("n, m, name", [(True, 2, "n"), (1, True, "m"), (2.0, 2, "n"),
+                                            (2, 3.0, "m")])
+    def test_counts_must_be_integers(self, fn, n, m, name):
+        with pytest.raises(ValidationError, match=f"{name} must be an integer"):
+            fn(n, m)
+
 
 class TestDoubleFactorialOdd:
     def test_values(self):
@@ -52,6 +60,11 @@ class TestDoubleFactorialOdd:
     def test_rejects_zero(self):
         with pytest.raises(ValidationError):
             specfun.double_factorial_odd(0)
+
+    @pytest.mark.parametrize("k", [True, 2.0, "2"])
+    def test_rejects_what_is_not_an_integer(self, k):
+        with pytest.raises(ValidationError, match="k must be an integer"):
+            specfun.double_factorial_odd(k)
 
 
 class TestGaussQ:
