@@ -1,6 +1,12 @@
 """Command-line front end: distribution, SER, and outage sweeps as CSV,
 plus a scalar summary of the high-SNR analysis.
 
+The flags describe the link as one :class:`~mimomrc.montecarlo.McConfig`,
+which checks them; the model is built from its correlation pair, and
+``--with-mc`` draws from the same config. A refused value prints one
+``error: ...`` line naming the config field (``n_rx`` for ``--nr``,
+``rx_corr`` for ``--corr-rx-file``, and so on).
+
 Exit status: 0 on success, 2 on flag validation problems and on a file
 that cannot be read or written, 1 on numerical failure. CSV output uses
 a header row, comma delimiters, LF line endings and 17-significant-digit
@@ -40,14 +46,12 @@ def _parse_sweep(text: str) -> np.ndarray:
 def _add_common(parser: argparse.ArgumentParser, modulation: bool) -> None:
     parser.add_argument("--nr", type=int, required=True, help="receive antennas")
     parser.add_argument("--nt", type=int, required=True, help="transmit antennas")
-    parser.add_argument("--rho-rx", type=float, default=None,
-                        help="receive-side exponential correlation coefficient")
-    parser.add_argument("--rho-tx", type=float, default=None,
-                        help="transmit-side exponential correlation coefficient")
-    parser.add_argument("--corr-rx-file", default=None,
-                        help="receive correlation matrix CSV (excludes --rho-rx)")
-    parser.add_argument("--corr-tx-file", default=None,
-                        help="transmit correlation matrix CSV (excludes --rho-tx)")
+    for side, word in (("rx", "receive"), ("tx", "transmit")):
+        correlation_flags = parser.add_mutually_exclusive_group()
+        correlation_flags.add_argument(f"--rho-{side}", type=float, default=0.0,
+                                       help=f"{word}-side exponential correlation coefficient")
+        correlation_flags.add_argument(f"--corr-{side}-file", default=None,
+                                       help=f"{word} correlation matrix CSV")
     parser.add_argument("--out", default=None, help="output path (default stdout)")
     if modulation:
         parser.add_argument("--mod", choices=sorted(performance.MODULATIONS),
@@ -58,53 +62,35 @@ def _add_common(parser: argparse.ArgumentParser, modulation: bool) -> None:
                             help="custom error-rate constant b (with --a)")
 
 
-def _build_model(parser: argparse.ArgumentParser, args) -> eigdist.EigDistModel:
-    if args.nr < 1 or args.nt < 1:
-        parser.error("--nr and --nt must be positive")
-    matrices = {}
-    for side, size, rho_flag, file_flag in (
-        ("rx", args.nr, args.rho_rx, args.corr_rx_file),
-        ("tx", args.nt, args.rho_tx, args.corr_tx_file),
-    ):
-        if file_flag is not None and rho_flag is not None:
-            parser.error(f"--rho-{side} and --corr-{side}-file are mutually exclusive")
-        if file_flag is not None:
-            mat = correlation.load_matrix_csv(file_flag)
-            if mat.shape != (size, size):
-                parser.error(
-                    f"--corr-{side}-file matrix is {mat.shape[0]}x{mat.shape[1]}, "
-                    f"expected {size}x{size}"
-                )
-        else:
-            rho = 0.0 if rho_flag is None else rho_flag
-            if not (0.0 <= rho < 1.0):
-                parser.error(f"--rho-{side} must lie in [0, 1)")
-            mat = correlation.exp_correlation(rho, size)
-        matrices[side] = mat
-    pair = correlation.make_pair(matrices["rx"], matrices["tx"])
-    return eigdist.build_model(pair)
+def _config(args) -> montecarlo.McConfig:
+    """The link the flags describe, as the config that checks them. The
+    Monte-Carlo flags are read only with ``--with-mc``."""
+    files = {"rx_corr": args.corr_rx_file, "tx_corr": args.corr_tx_file}
+    matrices = {field: correlation.load_matrix_csv(path)
+                for field, path in files.items() if path is not None}
+    mc = {"trials": args.trials, "seed": args.seed} if getattr(args, "with_mc", False) else {}
+    return montecarlo.McConfig(n_rx=args.nr, n_tx=args.nt, rho_rx=args.rho_rx,
+                               rho_tx=args.rho_tx, **matrices, **mc)
 
 
-def _modulation(parser: argparse.ArgumentParser, args) -> performance.Modulation:
+def _modulation(args) -> performance.Modulation:
     if (args.a is None) != (args.b is None):
-        parser.error("--a and --b must be given together")
+        raise ValidationError("--a and --b must be given together")
     if args.a is not None:
         return performance.Modulation("custom", a=args.a, b=args.b)
     return performance.modulation_preset(args.mod)
 
 
-def _with_mc(args, model, header, columns, estimate, *points):
+def _with_mc(args, cfg, header, columns, estimate, *points):
     """Append the Monte-Carlo estimate and its standard error columns.
 
-    One set of channel draws, from the matrices the model was built on,
+    One set of channel draws, from the config the model was built on,
     serves every sweep point (common random numbers); the per-point
     standard error is still exact. ``estimate(cfg, *points)``, ``mc_ser``
     or ``mc_outage``, gives every row's result in one call per sweep.
     """
     if not args.with_mc:
         return header, columns
-    cfg = montecarlo.McConfig(n_rx=args.nr, n_tx=args.nt, rx_corr=model.pair.rx_corr,
-                              tx_corr=model.pair.tx_corr, trials=args.trials, seed=args.seed)
     results = estimate(cfg, *points)
     return header + ["mc", "mc_stderr"], [
         *columns, [r.estimate for r in results], [r.std_error for r in results]
@@ -130,45 +116,39 @@ def _emit(args, header, columns) -> None:
     _write(args, "".join(line + "\n" for line in lines))
 
 
-def _cmd_cdf(parser, args) -> int:
-    model = _build_model(parser, args)
+def _cmd_cdf(args, cfg, model) -> int:
     xs = args.sweep
-    if xs[0] < 0.0:
-        parser.error("cdf sweep must start at or above 0")
     _emit(args, ["x", "exact", "asymptotic"],
           [xs, eigdist.cdf(model, xs), eigdist.asymptotic_cdf(model, xs)])
     return 0
 
 
-def _cmd_ser(parser, args) -> int:
-    model = _build_model(parser, args)
-    mod = _modulation(parser, args)
+def _cmd_ser(args, cfg, model) -> int:
+    mod = _modulation(args)
     hs = performance.high_snr_ser(model, mod)
     snrs_db = args.sweep
     # a plain list, because the benchmark's tracer records this argument as JSON
     columns = [snrs_db, performance.exact_ser(model, mod, snrs_db.tolist()),
                performance.ser_asymptote_eval(hs, snrs_db)]
-    header, columns = _with_mc(args, model, ["snr_db", "exact", "asymptote"], columns,
+    header, columns = _with_mc(args, cfg, ["snr_db", "exact", "asymptote"], columns,
                                montecarlo.mc_ser, mod, snrs_db)
     _emit(args, header, columns)
     return 0
 
 
-def _cmd_outage(parser, args) -> int:
-    model = _build_model(parser, args)
+def _cmd_outage(args, cfg, model) -> int:
     gammas_db = args.sweep
     gammas = checked_points(gammas_db, "outage threshold", db=True)
     columns = [gammas_db, performance.exact_outage(model, args.snr_db, gammas),
                performance.asymptotic_outage(model, args.snr_db, gammas)]
-    header, columns = _with_mc(args, model, ["gamma_th_db", "exact", "asymptotic"], columns,
+    header, columns = _with_mc(args, cfg, ["gamma_th_db", "exact", "asymptotic"], columns,
                                montecarlo.mc_outage, args.snr_db, gammas)
     _emit(args, header, columns)
     return 0
 
 
-def _cmd_summary(parser, args) -> int:
-    model = _build_model(parser, args)
-    mod = _modulation(parser, args)
+def _cmd_summary(args, cfg, model) -> int:
+    mod = _modulation(args)
     hs = performance.high_snr_ser(model, mod)
     lines = [
         ("n", model.n_min),
@@ -246,12 +226,12 @@ def _join_sweep_values(argv):
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
     if argv is None:
         argv = sys.argv[1:]
-    args = parser.parse_args(_join_sweep_values(list(argv)))
+    args = build_parser().parse_args(_join_sweep_values(list(argv)))
     try:
-        return _COMMANDS[args.command](parser, args)
+        cfg = _config(args)
+        return _COMMANDS[args.command](args, cfg, eigdist.build_model(montecarlo.to_pair(cfg)))
     except (ValidationError, OSError) as exc:  # a bad flag, or a file it cannot use
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -41,6 +41,22 @@ def exp_correlation(rho: float, size: int) -> np.ndarray:
     return (rho ** np.abs(idx[:, None] - idx[None, :])).astype(np.complex128)
 
 
+def checked_matrix(mat, name: str, size: int | None = None) -> np.ndarray:
+    """``mat`` as a finite complex128 matrix (:func:`linalg.as_matrix`), if
+    it is square and nonempty and, given ``size``, ``size`` by ``size``;
+    else ``ValidationError`` names ``name``. The one shape rule of a
+    correlation matrix: its checks, its CSV files and the Monte-Carlo
+    config share it."""
+    try:
+        m = linalg.as_matrix(mat)
+    except ValidationError as exc:
+        raise ValidationError(f"{name}: {exc}") from None
+    if m.shape[0] != m.shape[1] or m.size == 0 or size not in (None, m.shape[0]):
+        shape = "" if size is None else f" of size {size}x{size}"
+        raise ValidationError(f"{name} must be square and nonempty{shape}, got shape {m.shape}")
+    return m
+
+
 @dataclass(frozen=True)
 class CorrelationPair:
     """Validated receive/transmit correlation matrices with assigned roles.
@@ -71,9 +87,7 @@ def correlation_eigenvalues(mat, label: str) -> np.ndarray:
     take a non-Hermitian matrix for a different Hermitian one. For an
     exactly Hermitian matrix the Hermitian part is the matrix itself.
     """
-    m = linalg.as_matrix(mat)
-    if m.shape[0] != m.shape[1] or m.size == 0:
-        raise ValidationError(f"{label} correlation matrix must be square and nonempty, got shape {m.shape}")
+    m = checked_matrix(mat, f"{label} correlation matrix")
     if np.max(np.abs(m - m.conj().T)) > _INPUT_TOL:
         raise ValidationError(f"{label} correlation matrix is not Hermitian (tolerance {_INPUT_TOL:g})")
     if np.max(np.abs(np.diag(m) - 1.0)) > _INPUT_TOL:
@@ -92,14 +106,13 @@ def make_pair(rx_corr, tx_corr) -> CorrelationPair:
     The receive matrix takes the minor role when the receive side is the
     smaller (or equal) dimension, otherwise the transmit matrix does.
     """
-    rx, tx = linalg.as_matrix(rx_corr), linalg.as_matrix(tx_corr)
-    rx_eigs = correlation_eigenvalues(rx, "receive")
-    tx_eigs = correlation_eigenvalues(tx, "transmit")
+    rx_eigs = correlation_eigenvalues(rx_corr, "receive")
+    tx_eigs = correlation_eigenvalues(tx_corr, "transmit")
     n_rx, n_tx = rx_eigs.size, tx_eigs.size
     minor_eigs, major_eigs = (rx_eigs, tx_eigs) if n_rx <= n_tx else (tx_eigs, rx_eigs)
     return CorrelationPair(
-        rx_corr=rx,
-        tx_corr=tx,
+        rx_corr=linalg.as_matrix(rx_corr),
+        tx_corr=linalg.as_matrix(tx_corr),
         n_min=min(n_rx, n_tx),
         n_max=max(n_rx, n_tx),
         minor_eigs=minor_eigs,
@@ -140,9 +153,7 @@ def save_matrix_csv(path, matrix) -> None:
     it would refuse (one that is not square, or empty) raises
     ``ValidationError`` before the file is opened.
     """
-    m = linalg.as_matrix(matrix)
-    if m.shape[0] != m.shape[1] or m.size == 0:
-        raise ValidationError(f"matrix must be square and nonempty, got shape {m.shape}")
+    m = checked_matrix(matrix, "matrix")
     with open(path, "w", newline="\n") as fh:
         for row in m:
             fh.write(",".join(_format_entry(complex(z)) for z in row) + "\n")
@@ -164,9 +175,4 @@ def load_matrix_csv(path) -> np.ndarray:
                     rows.append([complex(tok.strip()) for tok in line.split(",")])
     except ValueError as exc:  # UnicodeDecodeError is one too
         raise ValidationError(f"unparseable matrix file {path}: {exc}") from exc
-    if not rows:
-        raise ValidationError(f"no matrix rows found in {path}")
-    width = len(rows[0])
-    if any(len(r) != width for r in rows) or width != len(rows):
-        raise ValidationError(f"matrix in {path} is not a square grid")
-    return linalg.as_matrix(rows)
+    return checked_matrix(rows, f"matrix in {path}")

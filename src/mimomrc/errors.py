@@ -2,6 +2,7 @@
 point inputs and of counts."""
 
 import math
+import numbers
 import sys
 
 import numpy as np
@@ -40,7 +41,9 @@ _RULES = {
 def checked_points(values, name: str, db: bool = False) -> np.ndarray:
     """``values``, a number or an array of them, as a float array of their
     shape, every one checked before any is used; ``ValidationError``
-    names the first one refused.
+    names the first one refused. A number is an integer or a float: a
+    bool, a string, a complex number, any other object or a ragged nest
+    of lists is refused, naming ``values``.
 
     A linear ``name`` is an ``"evaluation point"`` (finite and >= 0), an
     ``"outage threshold"`` (finite and > 0) or a ``"grid point"`` of the
@@ -50,7 +53,15 @@ def checked_points(values, name: str, db: bool = False) -> np.ndarray:
     positive normal double, which is outside about -3076.5 to 3082.5 dB,
     is refused.
     """
-    points = np.asarray(values, dtype=float)
+    raw = values if isinstance(values, np.ndarray) else np.array(values, dtype=object)
+    if raw.dtype != object:
+        real = raw.dtype.kind in "iuf"
+    else:
+        real = all(isinstance(v, numbers.Real) and not isinstance(v, bool) for v in raw.flat)
+    if not real:
+        raise ValidationError(f"{name} must be an integer or a float, or an array of them, "
+                              f"got {values!r}")
+    points = np.asarray(raw, dtype=float)
     if not db:
         rule, valid = _RULES[name]
         ok = valid(points)

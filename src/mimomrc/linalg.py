@@ -23,12 +23,17 @@ HERMITIAN_ATOL = 1e-12
 
 
 def as_matrix(a) -> np.ndarray:
-    """Coerce input to a 2-D complex128 array, rejecting non-finite entries."""
-    m = np.array(a, dtype=np.complex128)
+    """Coerce input to a 2-D complex128 array, rejecting input that numpy
+    cannot convert (a ragged nest, an entry that is no number) and
+    non-finite entries."""
+    try:
+        m = np.array(a, dtype=np.complex128)
+    except (TypeError, ValueError) as exc:
+        raise ValidationError(f"expected a numeric matrix: {exc}") from None
     if m.ndim != 2:
         raise ValidationError(f"expected a 2-D matrix, got {m.ndim} dimension(s)")
     if not np.all(np.isfinite(m)):
-        raise ValidationError("matrix entries must be finite")
+        raise ValidationError("entries must be finite")
     return m
 
 

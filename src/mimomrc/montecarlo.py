@@ -54,8 +54,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import linalg
-from .correlation import CorrelationPair, checked_rho, exp_correlation, make_pair
+from .correlation import CorrelationPair, checked_matrix, checked_rho, exp_correlation, make_pair
 from .errors import ValidationError, check_count, checked_points
 from .performance import Modulation
 from .specfun import gauss_q_upper_into
@@ -75,10 +74,11 @@ class McConfig:
     """Simulation setup: geometry, correlation, trial count, seed.
 
     Correlation is either the exponential model through rho_rx/rho_tx or
-    explicit matrices (which take precedence when given); the config
-    keeps read-only copies of the matrices. A config compares and hashes
-    by identity: :func:`simulate_lambda_max` keeps its draw for as long
-    as the config object lives.
+    explicit matrices (which take precedence when given), each square in
+    its side's antenna count; the config keeps read-only complex copies
+    of the matrices. A config compares and hashes by identity:
+    :func:`simulate_lambda_max` keeps its draw for as long as the config
+    object lives.
     """
 
     n_rx: int
@@ -97,18 +97,12 @@ class McConfig:
         checked_rho(self.rho_rx, "rho_rx")
         checked_rho(self.rho_tx, "rho_tx")
         for size, label in ((self.n_rx, "rx_corr"), (self.n_tx, "tx_corr")):
-            mat = getattr(self, label)
-            if mat is None:
-                continue
-            # a read-only copy: the config keys its draw, so its matrices
-            # must not change under it
-            mat = np.array(mat)
-            mat.flags.writeable = False
-            object.__setattr__(self, label, mat)
-            if mat.shape != (size, size):
-                raise ValidationError(
-                    f"{label} must be a square {size}x{size} matrix, got shape {mat.shape}"
-                )
+            if getattr(self, label) is not None:
+                # a read-only copy: the config keys its draw, so its
+                # matrices must not change under it
+                mat = checked_matrix(getattr(self, label), label, size)
+                mat.flags.writeable = False
+                object.__setattr__(self, label, mat)
 
 
 @dataclass(frozen=True)
@@ -118,17 +112,13 @@ class McResult:
     trials: int
 
 
-def corr_matrices(cfg: McConfig) -> tuple[np.ndarray, np.ndarray]:
-    """Receive and transmit correlation matrices implied by the config."""
-    rx = linalg.as_matrix(cfg.rx_corr) if cfg.rx_corr is not None else exp_correlation(cfg.rho_rx, cfg.n_rx)
-    tx = linalg.as_matrix(cfg.tx_corr) if cfg.tx_corr is not None else exp_correlation(cfg.rho_tx, cfg.n_tx)
-    return rx, tx
-
-
 def to_pair(cfg: McConfig) -> CorrelationPair:
-    """Validated correlation pair for the analytic model of this config."""
-    rx, tx = corr_matrices(cfg)
-    return make_pair(rx, tx)
+    """Validated correlation pair for the analytic model of this config:
+    its matrices, or else the exponential model of its rho on that side."""
+    return make_pair(
+        exp_correlation(cfg.rho_rx, cfg.n_rx) if cfg.rx_corr is None else cfg.rx_corr,
+        exp_correlation(cfg.rho_tx, cfg.n_tx) if cfg.tx_corr is None else cfg.tx_corr,
+    )
 
 
 def _batch_rng(seed: int, index: int) -> np.random.Generator:

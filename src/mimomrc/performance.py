@@ -19,6 +19,7 @@ a Q(sqrt(2 b snr x)) (see :func:`high_snr_ser`).
 from __future__ import annotations
 
 import math
+import numbers
 import sys
 from dataclasses import dataclass
 
@@ -83,10 +84,12 @@ class Modulation:
     b: float
 
     def __post_init__(self):
-        if not (self.a > 0.0 and math.isfinite(self.a)):
-            raise ValidationError(f"modulation constant a must be positive, got {self.a!r}")
-        if not (self.b > 0.0 and math.isfinite(self.b)):
-            raise ValidationError(f"modulation constant b must be positive, got {self.b!r}")
+        for label in ("a", "b"):
+            value = getattr(self, label)
+            if not (isinstance(value, numbers.Real) and not isinstance(value, bool)
+                    and 0.0 < value < math.inf):
+                raise ValidationError(f"modulation constant {label} must be a positive, "
+                                      f"finite real number, got {value!r}")
 
 
 # Built-in constants for the a*Q(sqrt(2 b snr)) template. The 8PSK pair is

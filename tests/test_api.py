@@ -89,13 +89,15 @@ SIGNATURES = {
 }
 
 # Second routes to a quantity the library computes one way: λmax
-# (``montecarlo.lambda_max``), the channel draw (``simulate_lambda_max``)
-# and the c.d.f. (``cdf``). ``psi_matrix`` stays in ``eigdist`` only.
+# (``montecarlo.lambda_max``), the channel draw (``simulate_lambda_max``),
+# the c.d.f. (``cdf``) and a config's matrices (``to_pair``).
+# ``psi_matrix`` stays in ``eigdist`` only.
 DELETED = [
     (montecarlo, "max_eig_snr"),
     (montecarlo, "draw_channel"),
     (linalg, "herm_sqrt"),
     (eigdist, "exact_cdf"),
+    (montecarlo, "corr_matrices"),
 ]
 
 

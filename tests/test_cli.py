@@ -31,6 +31,12 @@ def run_as_user(argv):
                           capture_output=True, text=True, env=env, timeout=120)
 
 
+def assert_refused(code, out, err):
+    """Exit 2, nothing on stdout, and one ``error:`` line on stderr."""
+    assert code == 2 and out == ""
+    assert len(err.splitlines()) == 1 and err.startswith("error: "), err
+
+
 def parse_csv(text):
     rows = list(csv.reader(io.StringIO(text)))
     return rows[0], [[float(v) for v in row] for row in rows[1:]]
@@ -116,9 +122,22 @@ class TestSerCommand:
         assert rows[0][1] == pytest.approx(performance.exact_ser(model, mod, 10.0), rel=1e-9)
 
     def test_a_without_b_rejected(self, capsys):
-        with pytest.raises(SystemExit) as excinfo:
-            cli.main(["ser", "--nr", "1", "--nt", "1", "--a", "2", "--sweep", "0:1:2"])
-        assert excinfo.value.code == 2
+        assert_refused(*run_cli(["ser", "--nr", "1", "--nt", "1", "--a", "2",
+                                 "--sweep", "0:1:2"], capsys))
+
+    def test_with_mc_refuses_trials_before_any_cdf_evaluation(self, capsys, monkeypatch):
+        # the config, --trials included, is built before the exact column
+        calls = []
+        for owner in (eigdist, performance):  # exact_ser calls performance's binding
+            def counting(*args, real=owner.cdf):
+                calls.append(args)
+                return real(*args)
+            monkeypatch.setattr(owner, "cdf", counting)
+        argv = ["ser", "--nr", "2", "--nt", "2", "--sweep", "0:10:3", "--with-mc"]
+        assert_refused(*run_cli([*argv, "--trials", "0"], capsys))
+        assert calls == []
+        assert run_cli([*argv, "--trials", "10"], capsys)[0] == 0
+        assert calls
 
 
 class TestOutageCommand:
@@ -238,10 +257,8 @@ class TestCorrelationFiles:
     def test_wrong_size_matrix(self, tmp_path, capsys):
         path = tmp_path / "rx.csv"
         correlation.save_matrix_csv(path, np.eye(3))
-        with pytest.raises(SystemExit) as excinfo:
-            cli.main(["cdf", "--nr", "2", "--nt", "2", "--corr-rx-file", str(path),
-                      "--sweep", "0:1:2"])
-        assert excinfo.value.code == 2
+        assert_refused(*run_cli(["cdf", "--nr", "2", "--nt", "2", "--corr-rx-file", str(path),
+                                 "--sweep", "0:1:2"], capsys))
 
 
 class TestExitCodes:
@@ -270,11 +287,35 @@ class TestExitCodes:
             cli.main(["cdf", "--nr", "1", "--nt", "1", "--sweep", "0:1:1"])
         assert excinfo.value.code == 2
 
-    def test_bad_rho(self):
-        with pytest.raises(SystemExit) as excinfo:
-            cli.main(["cdf", "--nr", "1", "--nt", "1", "--rho-rx", "1.5",
-                      "--sweep", "0:1:2"])
-        assert excinfo.value.code == 2
+    def test_bad_rho(self, capsys):
+        assert_refused(*run_cli(["cdf", "--nr", "1", "--nt", "1", "--rho-rx", "1.5",
+                                 "--sweep", "0:1:2"], capsys))
+
+    GEO_2X2 = ["--nr", "2", "--nt", "2"]
+
+    # Each value the config or a point-wise function refuses, with the name
+    # its message gives: the config field of the flag, or the input.
+    @pytest.mark.parametrize("argv, name", [
+        (["cdf", "--nr", "0", "--nt", "2", "--sweep", "0:1:3"], "n_rx"),
+        (["cdf", "--nr", "2", "--nt", "-1", "--sweep", "0:1:3"], "n_tx"),
+        (["cdf", *GEO_2X2, "--rho-rx", "1.5", "--sweep", "0:1:3"], "rho_rx"),
+        (["cdf", *GEO_2X2, "--rho-tx", "nan", "--sweep", "0:1:3"], "rho_tx"),
+        (["cdf", *GEO_2X2, "--corr-rx-file", "{eye3}", "--sweep", "0:1:3"], "rx_corr"),
+        (["cdf", *GEO_2X2, "--corr-tx-file", "{ragged}", "--sweep", "0:1:3"], "matrix in"),
+        (["ser", *GEO_2X2, "--a", "2", "--sweep", "0:1:3"], "--a and --b"),
+        (["cdf", *GEO_2X2, "--sweep", "-1:1:3"], "evaluation point"),
+        (["ser", *GEO_2X2, "--sweep", "0:1:3", "--with-mc", "--trials", "0"], "trials"),
+        (["outage", *GEO_2X2, "--snr-db", "0", "--sweep", "0:1:3", "--with-mc",
+          "--seed", "-1"], "seed"),
+    ], ids=["nr", "nt", "rho-rx", "rho-tx", "file-size", "file-ragged", "a-alone",
+            "cdf-negative", "trials", "seed"])
+    def test_refused_value_prints_one_error_line(self, tmp_path, argv, name):
+        correlation.save_matrix_csv(tmp_path / "eye3.csv", np.eye(3))
+        (tmp_path / "ragged.csv").write_text("1,0.5\n0.5\n")
+        result = run_as_user([arg.format(eye3=tmp_path / "eye3.csv", ragged=tmp_path / "ragged.csv")
+                              for arg in argv])
+        assert_refused(result.returncode, result.stdout, result.stderr)
+        assert name in result.stderr
 
     GEO = ["--nr", "2", "--nt", "2", "--rho-rx", "0.5", "--rho-tx", "0.5"]
 

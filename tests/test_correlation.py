@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from mimomrc import correlation, linalg
+from mimomrc import correlation, linalg, montecarlo
 from mimomrc.errors import ValidationError
 
 
@@ -109,6 +109,15 @@ class TestMakePair:
         with pytest.raises(ValidationError, match="Hermitian"):
             correlation.make_pair(bad, np.eye(2))
 
+    @pytest.mark.parametrize("mat", [[[1, 0.5], [0.5]], [[1, "x"], ["x", 1]]],
+                             ids=["ragged", "string"])
+    def test_rejects_malformed(self, mat):
+        # a failed conversion is refused naming the side, not as numpy's bare ValueError
+        with pytest.raises(ValidationError, match="receive"):
+            correlation.make_pair(mat, np.eye(2))
+        with pytest.raises(ValidationError, match="transmit"):
+            correlation.make_pair(np.eye(2), mat)
+
     def test_rejects_indefinite(self):
         bad = np.array([[1.0, 1.2], [1.2, 1.0]])  # unit diagonal, eigenvalue -0.2
         with pytest.raises(ValidationError, match="positive-definite"):
@@ -195,12 +204,34 @@ class TestCsvRoundTrip:
         with pytest.raises(ValidationError):
             correlation.load_matrix_csv(path)
 
-    @pytest.mark.parametrize("mat", [[[1.0, 0.5, 0.2]], np.zeros((0, 0))], ids=["1x3", "0x0"])
-    def test_save_refuses_what_load_refuses(self, tmp_path, mat):
+    @pytest.mark.parametrize("mat, match", [
+        ([[1.0, 0.5, 0.2]], "must be square and nonempty"),
+        (np.zeros((0, 0)), "must be square and nonempty"),
+        ([[1, 0.5], [0.5]], "numeric matrix"),
+        ([[1, "x"], ["x", 1]], "numeric matrix"),
+    ], ids=["1x3", "0x0", "ragged", "string"])
+    def test_save_refuses_what_load_refuses(self, tmp_path, mat, match):
         path = tmp_path / "bad.csv"
-        with pytest.raises(ValidationError, match="must be square and nonempty"):
+        with pytest.raises(ValidationError, match=match):
             correlation.save_matrix_csv(path, mat)
         assert not path.exists()
+
+    def test_one_shape_rule(self, tmp_path):
+        # the pair, both CSV routes and the Monte-Carlo config refuse a
+        # matrix's shape in the same words
+        wide = [[1.0, 0.5, 0.2]]
+        path = tmp_path / "wide.csv"
+        path.write_text("1,0.5,0.2\n")
+        calls = [
+            lambda: correlation.make_pair(wide, np.eye(2)),
+            lambda: correlation.save_matrix_csv(tmp_path / "out.csv", wide),
+            lambda: correlation.load_matrix_csv(path),
+            lambda: montecarlo.McConfig(n_rx=2, n_tx=2, rx_corr=wide),
+            lambda: montecarlo.McConfig(n_rx=2, n_tx=2, rx_corr=np.eye(3)),
+        ]
+        for call in calls:
+            with pytest.raises(ValidationError, match="must be square and nonempty"):
+                call()
 
     def test_rejects_garbage(self, tmp_path):
         path = tmp_path / "bad.csv"

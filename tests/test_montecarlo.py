@@ -48,7 +48,8 @@ def full_matrix_channels(cfg, rng, count):
     """``count`` channels drawn as corr_rx^{1/2} * white * corr_tx^{1/2}:
     the route the simulator's eigenbasis draw replaces, kept here as its
     reference."""
-    rx, tx = montecarlo.corr_matrices(cfg)
+    pair = montecarlo.to_pair(cfg)
+    rx, tx = pair.rx_corr, pair.tx_corr
     white = _draw_white(rng, count, cfg.n_rx, cfg.n_tx)
     return _herm_sqrt(rx) @ white @ _herm_sqrt(tx)
 
@@ -80,7 +81,8 @@ def batch_channels(cfg):
     """Each batch's channels as the simulator draws them, but whole and on
     the calling thread: the batch's real block, then its imaginary block,
     scaled by the standard deviations of the eigenbasis draw."""
-    rx, tx = montecarlo.corr_matrices(cfg)
+    pair = montecarlo.to_pair(cfg)
+    rx, tx = pair.rx_corr, pair.tx_corr
     std = np.sqrt(0.5 * np.outer(
         correlation.correlation_eigenvalues(rx, "receive"),
         correlation.correlation_eigenvalues(tx, "transmit"),
@@ -191,10 +193,21 @@ class TestConfigValidation:
         with pytest.raises(ValidationError):
             montecarlo.McConfig(n_rx=2, n_tx=2, rx_corr=np.eye(3))
 
+    @pytest.mark.parametrize("mat", [
+        [[1.0, 0.5], [0.5]],
+        [[1.0, "x"], ["x", 1.0]],
+        [[1.0, np.nan], [np.nan, 1.0]],
+    ], ids=["ragged", "string", "nan"])
+    @pytest.mark.parametrize("side", ["rx_corr", "tx_corr"])
+    def test_malformed_matrix_refused_when_built(self, side, mat):
+        with pytest.raises(ValidationError, match=side):
+            montecarlo.McConfig(n_rx=2, n_tx=2, **{side: mat})
+
     def test_explicit_matrices_take_precedence(self):
         mat = correlation.exp_correlation(0.7, 2)
         cfg = montecarlo.McConfig(n_rx=2, n_tx=2, rho_rx=0.1, rx_corr=mat)
-        rx, tx = montecarlo.corr_matrices(cfg)
+        pair = montecarlo.to_pair(cfg)
+        rx, tx = pair.rx_corr, pair.tx_corr
         np.testing.assert_allclose(rx, mat)
         np.testing.assert_allclose(tx, np.eye(2))
 
@@ -225,7 +238,8 @@ class TestDrawChannel:
             trials = 100_000
             cfg = montecarlo.McConfig(n_rx=n_rx, n_tx=n_tx, rho_rx=rho_rx,
                                       rho_tx=rho_tx, trials=trials, seed=8)
-            rx, tx = montecarlo.corr_matrices(cfg)
+            pair = montecarlo.to_pair(cfg)
+            rx, tx = pair.rx_corr, pair.tx_corr
             h = full_matrix_channels(cfg, np.random.Generator(np.random.Philox(8)), trials)
             vec = h.transpose(0, 2, 1).reshape(trials, n_rx * n_tx)  # column stacking
             prods = vec[:, :, None] * vec.conj()[:, None, :]

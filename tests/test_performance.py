@@ -53,6 +53,16 @@ class TestModulation:
         with pytest.raises(ValidationError):
             performance.Modulation("x", a=1.0, b=-1.0)
 
+    @pytest.mark.parametrize("value", ["2", None, 1j, np.array([1.0, 2.0]), True, math.nan])
+    @pytest.mark.parametrize("label", ["a", "b"])
+    def test_constants_must_be_real_numbers(self, label, value):
+        with pytest.raises(ValidationError, match=f"constant {label}"):
+            performance.Modulation("x", **{"a": 2.0, "b": 1.0, label: value})
+
+    def test_constants_of_any_real_type(self):
+        mod = performance.Modulation("x", a=np.float32(2.0), b=np.int64(1))
+        assert (mod.a, mod.b) == (2.0, 1)
+
 
 class TestExactSer:
     def test_gauss_legendre_table_is_leggauss(self):

@@ -69,6 +69,10 @@ CASES = {
     "mc_outage-snr_db": (lambda p, s, c: mm.mc_outage(c, p, 2.0), None, SNR_BAD),
 }
 MONTE_CARLO = ("estimate", "mc_")
+# Neither an integer nor a float, whatever its value: alone, in a list, as
+# an array's dtype, or a ragged nest.
+NOT_REAL = [True, np.bool_(False), "1", "x", 1j, None, object()]
+NOT_REAL_ARRAYS = [np.array([True, False]), np.array(["1"]), np.array([1j])]
 
 
 @pytest.fixture
@@ -125,4 +129,19 @@ def test_one_convention(name, evaluations):
         for points in (b, [fine, b], [b, fine, fine]):
             with pytest.raises(mm.ValidationError, match=re.escape(f"got {b!r}")):
                 call(points, samples, config())
+    assert evaluations == []
+
+
+@pytest.mark.parametrize("name", CASES)
+def test_only_integers_and_floats(name, evaluations):
+    call, good, _ = CASES[name]
+    samples = montecarlo.simulate_lambda_max(config())
+    fine = good[0] if good is not None else 0.0
+    evaluations.clear()
+    wrong = [*NOT_REAL_ARRAYS, [[fine, fine], [fine]]]
+    for b in NOT_REAL:
+        wrong += [b, [fine, b], [b, fine, fine]]
+    for points in wrong:
+        with pytest.raises(mm.ValidationError, match="must be an integer or a float"):
+            call(points, samples, config())
     assert evaluations == []
