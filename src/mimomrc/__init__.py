@@ -18,7 +18,6 @@ from .eigdist import (
     asymptotic_pdf,
     build_model,
     cdf,
-    exact_cdf_stable,
 )
 from .errors import NumericalError, QuadratureError, ValidationError
 from .montecarlo import (
@@ -61,7 +60,6 @@ __all__ = [
     "cdf",
     "correlation_penalty",
     "empirical_cdf",
-    "exact_cdf_stable",
     "exact_outage",
     "exact_ser",
     "exp_correlation",

@@ -579,5 +579,6 @@ def asymptotic_pdf(model: EigDistModel, x):
     return out if xs.ndim else float(out)
 
 
-# The evaluator's other public name, whose binding the benchmark's tracer wraps.
+# The evaluator's module-level second name, not exported by the package:
+# the benchmark's tracer wraps this binding.
 exact_cdf_stable = cdf

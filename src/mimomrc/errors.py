@@ -1,5 +1,5 @@
 """Exception types shared across the package, and the one check each of
-point inputs and of counts."""
+a number's type, of point inputs and of counts."""
 
 import math
 import numbers
@@ -38,12 +38,30 @@ _RULES = {
 }
 
 
+def checked_numbers(values, refusal: str, complex_ok: bool = False) -> np.ndarray:
+    """``values``, a number or an array or nest of lists of them, as a
+    numpy array (of dtype object unless it was an array already), if each
+    is an integer or a float or, with ``complex_ok``, a complex number; a
+    bool, a string, any other object or a ragged nest of lists is refused
+    with ``ValidationError``: ``refusal``, then ``values``. The one type
+    rule of points and of matrices."""
+    raw = values if isinstance(values, np.ndarray) else np.array(values, dtype=object)
+    kinds, number = ("iufc", numbers.Complex) if complex_ok else ("iuf", numbers.Real)
+    if raw.dtype != object:
+        ok = raw.dtype.kind in kinds
+    else:
+        ok = all(isinstance(v, number) and not isinstance(v, bool) for v in raw.flat)
+    if not ok:
+        raise ValidationError(f"{refusal}, got {values!r}")
+    return raw
+
+
 def checked_points(values, name: str, db: bool = False) -> np.ndarray:
     """``values``, a number or an array of them, as a float array of their
     shape, every one checked before any is used; ``ValidationError``
-    names the first one refused. A number is an integer or a float: a
-    bool, a string, a complex number, any other object or a ragged nest
-    of lists is refused, naming ``values``.
+    names the first one refused. A number is an integer or a float (see
+    :func:`checked_numbers`): a bool, a string, a complex number, any
+    other object or a ragged nest of lists is refused, naming ``values``.
 
     A linear ``name`` is an ``"evaluation point"`` (finite and >= 0), an
     ``"outage threshold"`` (finite and > 0) or a ``"grid point"`` of the
@@ -53,14 +71,7 @@ def checked_points(values, name: str, db: bool = False) -> np.ndarray:
     positive normal double, which is outside about -3076.5 to 3082.5 dB,
     is refused.
     """
-    raw = values if isinstance(values, np.ndarray) else np.array(values, dtype=object)
-    if raw.dtype != object:
-        real = raw.dtype.kind in "iuf"
-    else:
-        real = all(isinstance(v, numbers.Real) and not isinstance(v, bool) for v in raw.flat)
-    if not real:
-        raise ValidationError(f"{name} must be an integer or a float, or an array of them, "
-                              f"got {values!r}")
+    raw = checked_numbers(values, f"{name} must be an integer or a float, or an array of them")
     points = np.asarray(raw, dtype=float)
     if not db:
         rule, valid = _RULES[name]

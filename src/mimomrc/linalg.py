@@ -16,20 +16,20 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ValidationError
+from .errors import ValidationError, checked_numbers
 
 # Hermitian-ness is checked entrywise against this absolute tolerance.
 HERMITIAN_ATOL = 1e-12
 
 
 def as_matrix(a) -> np.ndarray:
-    """Coerce input to a 2-D complex128 array, rejecting input that numpy
-    cannot convert (a ragged nest, an entry that is no number) and
+    """Coerce input to a 2-D complex128 array, rejecting entries that are
+    not integers, floats or complex numbers (a bool, a string, a ragged
+    nest: the type rule of :func:`~mimomrc.errors.checked_numbers`) and
     non-finite entries."""
-    try:
-        m = np.array(a, dtype=np.complex128)
-    except (TypeError, ValueError) as exc:
-        raise ValidationError(f"expected a numeric matrix: {exc}") from None
+    raw = checked_numbers(a, "expected a numeric matrix of integers, floats or complex numbers",
+                          complex_ok=True)
+    m = np.array(raw, dtype=np.complex128)
     if m.ndim != 2:
         raise ValidationError(f"expected a 2-D matrix, got {m.ndim} dimension(s)")
     if not np.all(np.isfinite(m)):

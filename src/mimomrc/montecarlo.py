@@ -36,13 +36,16 @@ stream exactly as one draw of the real and then of the imaginary block
 does. An estimating worker takes a whole batch of samples at a time, so
 that it makes few, long numpy calls: threads making many short ones
 mostly wait for each other to hand back the interpreter lock (see
-:func:`_ser_estimate`). The estimators take the samples as an array, so
-one draw can serve several SNRs or thresholds. The samples are a pure
-function of the config, so :func:`simulate_lambda_max` draws and checks
-them once per config object and hands the same read-only array to every
-later call on it, unchecked; that is how :func:`mc_ser`,
-:func:`mc_outage` and :func:`empirical_cdf` share one draw. Their points
-are refused before any draw, and the draw is freed with its config.
+:func:`_ser_estimate`).
+
+The estimators take a config: :func:`mc_ser` for the SER, and
+:func:`mc_outage` for the outage probability, which is the empirical
+c.d.f. (:func:`empirical_cdf`) at γ/ḡ, counted by the same routine. The
+samples are a pure function of the config, so :func:`simulate_lambda_max`
+draws and checks them once per config object and hands the same
+read-only array to every later call on it, unchecked; that is how one
+draw serves every SNR, threshold and grid point. Their points are
+refused before any draw, and the draw is freed with its config.
 """
 
 from __future__ import annotations
@@ -497,15 +500,24 @@ def _run_batches(batches: int, workers: int, allocate, run) -> None:
 
 
 def empirical_cdf(cfg: McConfig, grid):
-    """Fraction of simulated largest eigenvalues at or below each grid
-    point: a number gives a float, an array one value per point, in an
-    array of its shape. A grid point may be negative, where the fraction
-    is 0; NaN and ±inf anywhere are refused with ``ValidationError``
-    before any draw."""
+    """Fraction of the config's largest-eigenvalue samples (see
+    :func:`simulate_lambda_max`) at or below each grid point: a number
+    gives a float, an array one value per point, in an array of its
+    shape. A grid point may be negative, where the fraction is 0; NaN and
+    ±inf anywhere are refused with ``ValidationError`` before any draw.
+    :func:`mc_outage` is this fraction at γ/ḡ."""
     points = checked_points(grid, "grid point")
-    samples = np.sort(simulate_lambda_max(cfg))
-    out = np.searchsorted(samples, points, side="right") / cfg.trials
+    out = _fractions(simulate_lambda_max(cfg), points).reshape(points.shape)
     return out if points.ndim else float(out)
+
+
+def _fractions(samples: np.ndarray, points: np.ndarray) -> np.ndarray:
+    """The fraction of ``samples`` at or below each of the checked
+    ``points``, flat: one comparison and one count per point, about
+    0.5 ms per point and 10^6 samples, on the calling thread (the counts
+    cost less than starting the worker threads)."""
+    counts = [np.count_nonzero(samples <= x) for x in points.ravel().tolist()]
+    return np.array(counts, dtype=np.int64) / samples.size
 
 
 def _merge(stat_a, stat_b):
@@ -529,7 +541,8 @@ def _pairwise_reduce(stats):
 
 def _checked_samples(samples) -> np.ndarray:
     """The samples as a float array; ``ValidationError`` unless they are a
-    nonempty 1-D array of finite, nonnegative values."""
+    nonempty 1-D array of finite, nonnegative values. The draw's check,
+    the one place samples are checked (see :func:`simulate_lambda_max`)."""
     samples = np.asarray(samples, dtype=float)
     if samples.ndim != 1 or samples.size == 0:
         raise ValidationError(f"samples must be a nonempty 1-D array, got shape {samples.shape}")
@@ -541,30 +554,9 @@ def _checked_samples(samples) -> np.ndarray:
     return samples
 
 
-def ser_estimate(samples: np.ndarray, mod: Modulation, snr_db: float):
-    """Semi-analytic SER over largest-eigenvalue samples: the sample mean
-    of a*Q(sqrt(2*b*snr*lambda)).
-
-    Unbiased for the ensemble-average SER with far lower variance than
-    symbol counting, which is what the quadrature result is compared to.
-    ``snr_db`` is one SNR in dB, giving one :class:`McResult`, or a 1-D
-    array of them, giving a list with one result per SNR, each equal to
-    the one-SNR call's. Statistics are taken per ``_BATCH`` samples and
-    merged pairwise, so the result does not depend on how the samples
-    were computed. The batches of every SNR run in one pool of the
-    simulator's worker threads (see :func:`simulate_lambda_max`), and the
-    result is bit-identical for any worker count. Raises
-    ``ValidationError``, before any batch runs, unless the samples are a
-    nonempty 1-D array of finite, nonnegative values and each SNR's
-    linear value a positive normal double (about -3076.5 to 3082.5 dB).
-    """
-    samples = _checked_samples(samples)
-    return _ser_estimate(samples, mod, _sweep(snr_db, "SNR", db=True), _worker_count())
-
-
 def _ser_estimate(samples: np.ndarray, mod: Modulation, gbar: np.ndarray, workers: int):
-    """:func:`ser_estimate` over checked samples at the checked linear
-    SNRs ``gbar`` (see :func:`_sweep`), on ``workers`` threads (see
+    """:func:`mc_ser` over checked samples at the checked linear SNRs
+    ``gbar`` (see :func:`_sweep`), on ``workers`` threads (see
     :func:`_run_batches`).
 
     Each worker computes a whole batch of one SNR at a time, in four
@@ -614,48 +606,42 @@ def _sweep(values, name: str, db: bool = False, ndim: int = 1) -> np.ndarray:
     return points
 
 
-def outage_estimate(samples: np.ndarray, snr_db: float, gamma_th):
-    """Fraction of largest-eigenvalue samples whose output SNR falls at or
-    below gamma_th, with its binomial standard error.
-
-    ``gamma_th`` is a linear threshold, giving one :class:`McResult`, or a
-    1-D array of them, giving a list with one result per threshold, each
-    equal to the one-threshold call's. The samples are checked once per
-    call (one ``min`` and one ``max``, 0.8 ms per 10^6) and every
-    threshold before any is counted (one comparison and one count per
-    sample, about 0.5 ms per 10^6). Runs on the calling thread: the
-    counts cost less than starting the worker threads. Refuses the
-    samples as :func:`ser_estimate` does, and the SNR, a number, also
-    when it is an array.
-    """
-    samples = _checked_samples(samples)
-    gammas = _sweep(gamma_th, "outage threshold")
-    gbar = float(_sweep(snr_db, "SNR", db=True, ndim=0))
-    return _outage_estimate(samples, gbar, gammas)
-
-
-def _outage_estimate(samples: np.ndarray, gbar: float, gammas: np.ndarray):
-    """:func:`outage_estimate` over checked samples, SNR and thresholds."""
-    results = []
-    for gamma in gammas.flat:
-        p = int(np.count_nonzero(samples <= float(gamma) / gbar)) / samples.size
-        std_error = math.sqrt(p * (1.0 - p) / samples.size)
-        results.append(McResult(estimate=p, std_error=std_error, trials=samples.size))
-    return results if gammas.ndim else results[0]
-
-
 def mc_ser(cfg: McConfig, mod: Modulation, snr_db: float):
-    """:func:`ser_estimate` over the config's samples (see
-    :func:`simulate_lambda_max`), for one SNR or a 1-D array of them;
-    the SNR is refused before any draw."""
+    """Semi-analytic SER over the config's largest-eigenvalue samples (see
+    :func:`simulate_lambda_max`): the sample mean of
+    a*Q(sqrt(2*b*snr*lambda)), with its standard error.
+
+    Unbiased for the ensemble-average SER with far lower variance than
+    symbol counting, which is what the quadrature result is compared to.
+    ``snr_db`` is one SNR in dB, giving one :class:`McResult`, or a 1-D
+    array of them, giving a list with one result per SNR, each equal to
+    the one-SNR call's. Statistics are taken per ``_BATCH`` samples and
+    merged pairwise, so the result does not depend on how the samples
+    were computed. The batches of every SNR run in one pool of the
+    simulator's worker threads, and the result is bit-identical for any
+    worker count. Raises ``ValidationError``, before any draw, unless
+    each SNR's linear value is a positive normal double (about -3076.5 to
+    3082.5 dB).
+    """
     gbar = _sweep(snr_db, "SNR", db=True)
     return _ser_estimate(simulate_lambda_max(cfg), mod, gbar, _worker_count())
 
 
 def mc_outage(cfg: McConfig, snr_db: float, gamma_th):
-    """:func:`outage_estimate` over the config's samples (see
-    :func:`simulate_lambda_max`), for one threshold or a 1-D array of
-    them; the SNR and the thresholds are refused before any draw."""
+    """Outage probability at the linear threshold ``gamma_th`` and the
+    average SNR ``snr_db`` (a number, in dB): :func:`empirical_cdf` at
+    γ/ḡ, the fraction p of the config's samples whose output SNR ḡ·λmax
+    is at or below the threshold, with its binomial standard error
+    sqrt(p(1 - p)/trials).
+
+    ``gamma_th`` is one threshold, giving one :class:`McResult`, or a 1-D
+    array of them, giving a list with one result per threshold, each
+    equal to the one-threshold call's. The SNR and every threshold are
+    refused with ``ValidationError`` before any draw.
+    """
     gammas = _sweep(gamma_th, "outage threshold")
     gbar = float(_sweep(snr_db, "SNR", db=True, ndim=0))
-    return _outage_estimate(simulate_lambda_max(cfg), gbar, gammas)
+    n = cfg.trials
+    results = [McResult(estimate=p, std_error=math.sqrt(p * (1.0 - p) / n), trials=n)
+               for p in _fractions(simulate_lambda_max(cfg), gammas / gbar).tolist()]
+    return results if gammas.ndim else results[0]

@@ -265,11 +265,10 @@ def test_criterion_9_ser_route_equivalence():
     cfg = montecarlo.McConfig(
         n_rx=2, n_tx=2, rho_rx=0.5, rho_tx=0.5, trials=1_000_000, seed=77
     )
-    # one draw serves every SNR, as in mc_ser(cfg, ...) at each point
-    samples = montecarlo.simulate_lambda_max(cfg)
+    # the config keeps its draw, so one draw serves every SNR
     worst = 0.0
     for snr_db in np.linspace(0.0, 30.0, 12):
-        mc = montecarlo.ser_estimate(samples, EIGHT_PSK, float(snr_db))
+        mc = montecarlo.mc_ser(cfg, EIGHT_PSK, float(snr_db))
         exact = performance.exact_ser(model, EIGHT_PSK, float(snr_db))
         dev = abs(exact - mc.estimate) / mc.std_error
         worst = max(worst, dev)

@@ -109,10 +109,17 @@ class TestMakePair:
         with pytest.raises(ValidationError, match="Hermitian"):
             correlation.make_pair(bad, np.eye(2))
 
-    @pytest.mark.parametrize("mat", [[[1, 0.5], [0.5]], [[1, "x"], ["x", 1]]],
-                             ids=["ragged", "string"])
+    @pytest.mark.parametrize("mat", [
+        [[1, 0.5], [0.5]],
+        [[1, "x"], ["x", 1]],
+        [["1", "0.5"], ["0.5", "1"]],
+        [[True, False], [False, True]],
+        np.eye(2, dtype=bool),
+        np.array([["1", "0"], ["0", "1"]]),
+    ], ids=["ragged", "string", "numeric-strings", "bools", "bool-array", "string-array"])
     def test_rejects_malformed(self, mat):
-        # a failed conversion is refused naming the side, not as numpy's bare ValueError
+        # refused naming the side, not as numpy's bare ValueError, and not
+        # converted: numpy would read "0.5" as 0.5 and True as 1
         with pytest.raises(ValidationError, match="receive"):
             correlation.make_pair(mat, np.eye(2))
         with pytest.raises(ValidationError, match="transmit"):
@@ -209,7 +216,9 @@ class TestCsvRoundTrip:
         (np.zeros((0, 0)), "must be square and nonempty"),
         ([[1, 0.5], [0.5]], "numeric matrix"),
         ([[1, "x"], ["x", 1]], "numeric matrix"),
-    ], ids=["1x3", "0x0", "ragged", "string"])
+        ([["1", "0.5"], ["0.5", "1"]], "numeric matrix"),
+        ([[True, False], [False, True]], "numeric matrix"),
+    ], ids=["1x3", "0x0", "ragged", "string", "numeric-strings", "bools"])
     def test_save_refuses_what_load_refuses(self, tmp_path, mat, match):
         path = tmp_path / "bad.csv"
         with pytest.raises(ValidationError, match=match):
@@ -232,6 +241,18 @@ class TestCsvRoundTrip:
         for call in calls:
             with pytest.raises(ValidationError, match="must be square and nonempty"):
                 call()
+
+    def test_any_numeric_entries_round_trip(self, tmp_path):
+        # integers, floats and complex numbers of Python or numpy, as the
+        # file gives them back
+        path = tmp_path / "corr.csv"
+        mat = [[1, np.float32(0.5), 0.25 + 0.125j], [0.5, np.int8(1), 0.0],
+               [0.25 - 0.125j, 0.0, np.complex64(1.0)]]
+        correlation.save_matrix_csv(path, mat)
+        loaded = correlation.load_matrix_csv(path)
+        assert loaded.tolist() == np.array(mat, dtype=np.complex128).tolist()
+        correlation.save_matrix_csv(path, loaded)
+        assert correlation.load_matrix_csv(path).tobytes() == loaded.tobytes()
 
     def test_rejects_garbage(self, tmp_path):
         path = tmp_path / "bad.csv"

@@ -197,7 +197,10 @@ class TestConfigValidation:
         [[1.0, 0.5], [0.5]],
         [[1.0, "x"], ["x", 1.0]],
         [[1.0, np.nan], [np.nan, 1.0]],
-    ], ids=["ragged", "string", "nan"])
+        [["1", "0.5"], ["0.5", "1"]],
+        [[True, False], [False, True]],
+        np.eye(2, dtype=bool),
+    ], ids=["ragged", "string", "nan", "numeric-strings", "bools", "bool-array"])
     @pytest.mark.parametrize("side", ["rx_corr", "tx_corr"])
     def test_malformed_matrix_refused_when_built(self, side, mat):
         with pytest.raises(ValidationError, match=side):
@@ -367,24 +370,23 @@ class TestMcOutage:
 
     def test_threshold_array_equals_one_call_per_threshold(self):
         cfg = montecarlo.McConfig(n_rx=2, n_tx=3, rho_rx=0.5, trials=70_001, seed=15)
-        samples = montecarlo.simulate_lambda_max(cfg)
         gammas = 10.0 ** (np.linspace(-10.0, 12.0, 19) / 10.0)
         for snr_db in (0.0, 7.5):
-            want = [montecarlo.outage_estimate(samples, snr_db, g) for g in gammas]
+            want = [montecarlo.mc_outage(cfg, snr_db, g) for g in gammas]
             for got in (
-                montecarlo.outage_estimate(samples, snr_db, gammas),
-                montecarlo.outage_estimate(samples, snr_db, gammas.tolist()),
                 montecarlo.mc_outage(cfg, snr_db, gammas),
+                montecarlo.mc_outage(cfg, snr_db, gammas.tolist()),
             ):
                 assert [(r.estimate, r.std_error, r.trials) for r in got] == [
                     (r.estimate, r.std_error, r.trials) for r in want
                 ]
-        assert montecarlo.outage_estimate(samples, 7.5, gammas[:1]) == want[:1]
-        assert montecarlo.outage_estimate(samples, 0.0, np.array([])) == []
+        assert montecarlo.mc_outage(cfg, 7.5, gammas[:1]) == want[:1]
+        assert montecarlo.mc_outage(cfg, 0.0, np.array([])) == []
 
     def test_samples_checked_once_per_call(self, monkeypatch, capsys):
-        # and the SER estimator's batches run in one pool for every SNR
-        samples = np.random.default_rng(8).exponential(1.0, 1000)
+        # a draw is checked once, when it is drawn, and no estimate over it
+        # checks it again; the SER estimator's batches run in one pool for
+        # every SNR
         calls = []
         for name in ("_checked_samples", "_run_batches"):
             real = getattr(montecarlo, name)
@@ -394,13 +396,13 @@ class TestMcOutage:
                 return real(*args)
 
             monkeypatch.setattr(montecarlo, name, counting)
-        assert len(montecarlo.outage_estimate(samples, 0.0, np.geomspace(0.1, 10.0, 19))) == 19
-        assert calls == ["_checked_samples"]
-        assert len(montecarlo.ser_estimate(samples, EIGHT_PSK, np.linspace(0.0, 40.0, 9))) == 9
-        assert calls == ["_checked_samples", "_checked_samples", "_run_batches"]
-        # a draw is checked once, when it is drawn, and no estimate over it
-        # checks it again: the benchmark's crosscheck pass, a CLI outage
-        # sweep and then four mc_ser calls on one config, checks two draws
+        cfg = montecarlo.McConfig(n_rx=2, n_tx=2, trials=1000, seed=8)
+        assert len(montecarlo.mc_outage(cfg, 0.0, np.geomspace(0.1, 10.0, 19))) == 19
+        assert calls == ["_run_batches", "_checked_samples"]
+        assert len(montecarlo.mc_ser(cfg, EIGHT_PSK, np.linspace(0.0, 40.0, 9))) == 9
+        assert calls == ["_run_batches", "_checked_samples", "_run_batches"]
+        # the benchmark's crosscheck pass, a CLI outage sweep and then four
+        # mc_ser calls on one config, checks two draws
         calls.clear()
         flags = ["--nr", "3", "--nt", "3", "--with-mc", "--trials", "5000", "--seed", "3"]
         assert cli.main(["outage", *flags, "--snr-db", "0", "--sweep", "3:12:19"]) == 0
@@ -416,11 +418,9 @@ class TestMcOutage:
         assert len(capsys.readouterr().out.splitlines()) == 20
 
     def test_snr_array_refused_before_any_draw(self, drawn):
-        # the outage estimators take one SNR
-        samples = np.random.default_rng(9).exponential(1.0, 1000)
+        # the outage estimator takes one SNR
         cfg = montecarlo.McConfig(n_rx=2, n_tx=2, trials=1000, seed=9)
         for call in (
-            lambda: montecarlo.outage_estimate(samples, [0.0, 1.0], 2.0),
             lambda: montecarlo.mc_outage(cfg, [0.0, 1.0], 2.0),
             lambda: montecarlo.mc_outage(cfg, np.zeros((1, 1)), [2.0, 3.0]),
         ):
@@ -435,7 +435,6 @@ class TestMcOutage:
         ([1.0, math.inf], "inf"),
     ])
     def test_bad_threshold_anywhere_refused_before_counting(self, gammas, bad, monkeypatch, drawn):
-        samples = np.random.default_rng(9).exponential(1.0, 1000)
         cfg = montecarlo.McConfig(n_rx=2, n_tx=2, trials=1000, seed=9)
         counts = []
         count_nonzero = np.count_nonzero
@@ -445,17 +444,16 @@ class TestMcOutage:
             return count_nonzero(*args, **kwargs)
 
         monkeypatch.setattr(np, "count_nonzero", counting)
-        for call in (
-            lambda: montecarlo.outage_estimate(samples, 0.0, gammas),
-            lambda: montecarlo.mc_outage(cfg, 0.0, np.array(gammas)),
-        ):
+        for thresholds in (gammas, np.array(gammas)):
             with pytest.raises(ValidationError, match=f"threshold must be positive, got {bad}"):
-                call()
+                montecarlo.mc_outage(cfg, 0.0, thresholds)
         assert counts == [] and drawn == []
 
-    def test_threshold_matrix_refused(self):
+    def test_threshold_matrix_refused(self, drawn):
+        cfg = montecarlo.McConfig(n_rx=2, n_tx=2, trials=10, seed=9)
         with pytest.raises(ValidationError, match="1-D array"):
-            montecarlo.outage_estimate(np.ones(10), 0.0, np.ones((2, 2)))
+            montecarlo.mc_outage(cfg, 0.0, np.ones((2, 2)))
+        assert drawn == []
 
 
 class TestDeterminism:
@@ -496,7 +494,7 @@ class TestDeterminism:
                 )
 
             serial_samples = montecarlo._draw(cfg(), 1)
-            serial = montecarlo.ser_estimate(serial_samples, mod, 8.0)
+            serial = montecarlo._ser_estimate(serial_samples, mod, linear(8.0), 1)
             # batches write disjoint slices of one array
             with switching_often():
                 threaded = montecarlo.mc_ser(cfg(), mod, 8.0)
@@ -1001,17 +999,15 @@ class TestEstimators:
 
     def test_snr_array_equals_one_call_per_snr(self):
         cfg = montecarlo.McConfig(n_rx=2, n_tx=3, rho_rx=0.5, trials=70_001, seed=15)
-        samples = montecarlo.simulate_lambda_max(cfg)
         snrs = np.linspace(-10.0, 40.0, 11)
-        want = [montecarlo.ser_estimate(samples, EIGHT_PSK, snr) for snr in snrs]
+        want = [montecarlo.mc_ser(cfg, EIGHT_PSK, snr) for snr in snrs]
         for got in (
-            montecarlo.ser_estimate(samples, EIGHT_PSK, snrs),
-            montecarlo.ser_estimate(samples, EIGHT_PSK, snrs.tolist()),
             montecarlo.mc_ser(cfg, EIGHT_PSK, snrs),
+            montecarlo.mc_ser(cfg, EIGHT_PSK, snrs.tolist()),
         ):
             assert got == want
-        assert montecarlo.ser_estimate(samples, EIGHT_PSK, snrs[3:4]) == want[3:4]
-        assert montecarlo.ser_estimate(samples, EIGHT_PSK, np.array([])) == []
+        assert montecarlo.mc_ser(cfg, EIGHT_PSK, snrs[3:4]) == want[3:4]
+        assert montecarlo.mc_ser(cfg, EIGHT_PSK, np.array([])) == []
 
     @pytest.mark.parametrize("snrs, match", [
         ([10.0, math.nan], "finite, got nan"),
@@ -1022,16 +1018,12 @@ class TestEstimators:
         ([0.0, -4000.0], "-3076.5 .*got -4000.0 dB"),
     ])
     def test_bad_snr_refused_before_any_work(self, snrs, match, monkeypatch, drawn):
-        samples = np.random.default_rng(9).exponential(1.0, 1000)
         cfg = montecarlo.McConfig(n_rx=2, n_tx=2, trials=1000, seed=9)
         calls = []
         monkeypatch.setattr(montecarlo, "gauss_q_upper_into", lambda *args: calls.append(1))
-        for call in (
-            lambda: montecarlo.ser_estimate(samples, EIGHT_PSK, snrs),
-            lambda: montecarlo.mc_ser(cfg, EIGHT_PSK, np.array(snrs)),
-        ):
+        for points in (snrs, np.array(snrs)):
             with pytest.raises(ValidationError, match=match):
-                call()
+                montecarlo.mc_ser(cfg, EIGHT_PSK, points)
         assert calls == [] and drawn == []
 
     BAD_SAMPLES = {
@@ -1046,35 +1038,55 @@ class TestEstimators:
 
     @pytest.mark.parametrize("samples", BAD_SAMPLES.values(), ids=BAD_SAMPLES.keys())
     def test_bad_samples_refused(self, samples):
+        # by the draw's check, the one place samples are checked
         with pytest.raises(ValidationError, match="samples must be"):
-            montecarlo.ser_estimate(samples, EIGHT_PSK, 10.0)
-        with pytest.raises(ValidationError, match="samples must be"):
-            montecarlo.outage_estimate(samples, 10.0, 2.0)
+            montecarlo._checked_samples(samples)
 
     def test_zero_samples_accepted(self):
-        samples = np.array([0.0, -0.0, 2.0])
-        assert montecarlo.ser_estimate(samples, EIGHT_PSK, 10.0).trials == 3
-        assert montecarlo.outage_estimate(samples, 0.0, 1.0).estimate == 2 / 3
+        samples = montecarlo._checked_samples(np.array([0.0, -0.0, 2.0]))
+        assert montecarlo._ser_estimate(samples, EIGHT_PSK, linear(10.0), 1).trials == 3
+        assert montecarlo._fractions(samples, np.array([1.0])).tolist() == [2 / 3]
 
     def test_estimates_are_python_floats(self):
-        samples = np.random.default_rng(6).exponential(1.0, 1000)
+        cfg = montecarlo.McConfig(n_rx=2, n_tx=2, trials=1000, seed=6)
         for result in (
-            montecarlo.ser_estimate(samples, EIGHT_PSK, 10.0),
-            montecarlo.outage_estimate(samples, 0.0, 1.0),
+            montecarlo.mc_ser(cfg, EIGHT_PSK, 10.0),
+            montecarlo.mc_outage(cfg, 0.0, 1.0),
         ):
             assert type(result.estimate) is float and type(result.std_error) is float
             assert type(result.trials) is int
 
     def test_one_draw_serves_every_point(self):
+        # every estimate is over the config's kept samples, here counted
+        # and averaged by the test's own routes
         cfg = montecarlo.McConfig(n_rx=3, n_tx=2, rho_tx=0.5, trials=70_000, seed=4)
         samples = montecarlo.simulate_lambda_max(cfg)
         mod = performance.modulation_preset("8psk")
         for snr_db in (0.0, 15.0):
-            assert montecarlo.ser_estimate(samples, mod, snr_db) == montecarlo.mc_ser(cfg, mod, snr_db)
-            assert montecarlo.outage_estimate(samples, snr_db, 2.0) == montecarlo.mc_outage(cfg, snr_db, 2.0)
+            r = montecarlo.mc_ser(cfg, mod, snr_db)
+            assert (r.estimate, r.std_error, r.trials) == serial_ser_estimate(samples, mod, snr_db)
+            p = np.count_nonzero(samples <= 2.0 / float(linear(snr_db))) / cfg.trials
+            assert montecarlo.mc_outage(cfg, snr_db, 2.0).estimate == p
         grid = np.linspace(0.0, 12.0, 7)
-        want = [montecarlo.outage_estimate(samples, 0.0, x).estimate for x in grid[1:]]
-        np.testing.assert_array_equal(montecarlo.empirical_cdf(cfg, grid)[1:], want)
+        want = [np.count_nonzero(samples <= x) / cfg.trials for x in grid]
+        assert montecarlo.empirical_cdf(cfg, grid).tolist() == want
+
+    @pytest.mark.parametrize("snr_db", [-5.0, 0.0, 7.5, 20.0])
+    def test_outage_is_the_empirical_cdf_at_gamma_over_gbar(self, snr_db):
+        # bit for bit, with the binomial standard error, from thresholds
+        # below every sample's output SNR to above every one
+        cfg = montecarlo.McConfig(n_rx=2, n_tx=3, rho_rx=0.5, trials=70_001, seed=21)
+        samples = montecarlo.simulate_lambda_max(cfg)
+        gbar = float(linear(snr_db))
+        gammas = gbar * np.concatenate((
+            [0.5 * samples.min()], np.geomspace(0.1, 10.0, 17), [2.0 * samples.max()]
+        ))
+        got = montecarlo.mc_outage(cfg, snr_db, gammas)
+        want = montecarlo.empirical_cdf(cfg, gammas / gbar).tolist()
+        assert [r.estimate for r in got] == want
+        assert [r.std_error for r in got] == [math.sqrt(p * (1.0 - p) / cfg.trials) for p in want]
+        assert (want[0], want[-1], got[0].std_error, got[-1].std_error) == (0.0, 1.0, 0.0, 0.0)
+        assert 0.0 < want[9] < 1.0  # λmax = 1
 
 
 EIGHT_PSK = performance.modulation_preset("8psk")

@@ -41,34 +41,27 @@ def config():
     return mm.McConfig(n_rx=2, n_tx=3, rho_rx=0.5, rho_tx=0.5, trials=3000, seed=17)
 
 
-# name: (call of (point, samples, config), good points, bad points); the
+# name: (call of (point, config), good points, bad points); the
 # Monte-Carlo estimators take a 1-D array and give a list of results.
 CASES = {
-    "cdf": (lambda p, s, c: mm.cdf(MODEL, p), X_GOOD, X_BAD),
-    "exact_cdf_stable": (lambda p, s, c: mm.exact_cdf_stable(MODEL, p), X_GOOD, X_BAD),
-    "asymptotic_cdf": (lambda p, s, c: mm.asymptotic_cdf(MODEL, p), X_GOOD, X_BAD),
-    "asymptotic_pdf": (lambda p, s, c: mm.asymptotic_pdf(MODEL, p), X_GOOD, X_BAD),
-    "exact_ser": (lambda p, s, c: mm.exact_ser(MODEL, MOD, p), SNR_GOOD, SNR_BAD),
-    "ser_asymptote_eval": (lambda p, s, c: mm.ser_asymptote_eval(HS, p), SNR_GOOD, SNR_BAD),
-    "exact_outage-gamma_th": (lambda p, s, c: mm.exact_outage(MODEL, 3.0, p),
+    "cdf": (lambda p, c: mm.cdf(MODEL, p), X_GOOD, X_BAD),
+    "asymptotic_cdf": (lambda p, c: mm.asymptotic_cdf(MODEL, p), X_GOOD, X_BAD),
+    "asymptotic_pdf": (lambda p, c: mm.asymptotic_pdf(MODEL, p), X_GOOD, X_BAD),
+    "exact_ser": (lambda p, c: mm.exact_ser(MODEL, MOD, p), SNR_GOOD, SNR_BAD),
+    "ser_asymptote_eval": (lambda p, c: mm.ser_asymptote_eval(HS, p), SNR_GOOD, SNR_BAD),
+    "exact_outage-gamma_th": (lambda p, c: mm.exact_outage(MODEL, 3.0, p),
                               GAMMA_GOOD, GAMMA_BAD),
-    "exact_outage-snr_db": (lambda p, s, c: mm.exact_outage(MODEL, p, 2.0), SNR_GOOD, SNR_BAD),
-    "asymptotic_outage-gamma_th": (lambda p, s, c: mm.asymptotic_outage(MODEL, 3.0, p),
+    "exact_outage-snr_db": (lambda p, c: mm.exact_outage(MODEL, p, 2.0), SNR_GOOD, SNR_BAD),
+    "asymptotic_outage-gamma_th": (lambda p, c: mm.asymptotic_outage(MODEL, 3.0, p),
                                    GAMMA_GOOD, GAMMA_BAD),
-    "asymptotic_outage-snr_db": (lambda p, s, c: mm.asymptotic_outage(MODEL, p, 2.0),
+    "asymptotic_outage-snr_db": (lambda p, c: mm.asymptotic_outage(MODEL, p, 2.0),
                                  SNR_GOOD, SNR_BAD),
-    "ser_estimate": (lambda p, s, c: montecarlo.ser_estimate(s, MOD, p), SNR_GOOD, SNR_BAD),
-    "mc_ser": (lambda p, s, c: mm.mc_ser(c, MOD, p), SNR_GOOD, SNR_BAD),
-    "outage_estimate": (lambda p, s, c: montecarlo.outage_estimate(s, 3.0, p),
-                        GAMMA_GOOD, GAMMA_BAD),
-    "mc_outage": (lambda p, s, c: mm.mc_outage(c, 3.0, p), GAMMA_GOOD, GAMMA_BAD),
-    "empirical_cdf": (lambda p, s, c: mm.empirical_cdf(c, p), GRID_GOOD, GRID_BAD),
-    # the outage estimators' SNR is a number
-    "outage_estimate-snr_db": (lambda p, s, c: montecarlo.outage_estimate(s, p, 2.0),
-                               None, SNR_BAD),
-    "mc_outage-snr_db": (lambda p, s, c: mm.mc_outage(c, p, 2.0), None, SNR_BAD),
+    "mc_ser": (lambda p, c: mm.mc_ser(c, MOD, p), SNR_GOOD, SNR_BAD),
+    "mc_outage": (lambda p, c: mm.mc_outage(c, 3.0, p), GAMMA_GOOD, GAMMA_BAD),
+    "empirical_cdf": (lambda p, c: mm.empirical_cdf(c, p), GRID_GOOD, GRID_BAD),
+    # the outage estimator's SNR is a number
+    "mc_outage-snr_db": (lambda p, c: mm.mc_outage(c, p, 2.0), None, SNR_BAD),
 }
-MONTE_CARLO = ("estimate", "mc_")
 # Neither an integer nor a float, whatever its value: alone, in a list, as
 # an array's dtype, or a ragged nest.
 NOT_REAL = [True, np.bool_(False), "1", "x", 1j, None, object()]
@@ -100,19 +93,18 @@ def evaluations(monkeypatch):
 @pytest.mark.parametrize("name", CASES)
 def test_one_convention(name, evaluations):
     call, good, bad = CASES[name]
-    monte_carlo = any(tag in name for tag in MONTE_CARLO)
-    samples = montecarlo.simulate_lambda_max(config())
+    monte_carlo = name.startswith("mc_")
     if good is not None:
-        numbers = [call(p, samples, config()) for p in good]
+        numbers = [call(p, config()) for p in good]
         for p, want in zip(good, numbers):
             if monte_carlo:
                 assert isinstance(want, mm.McResult)
             else:
                 for number in (p, np.float64(p), np.array(p)):
-                    got = call(number, samples, config())
+                    got = call(number, config())
                     assert type(got) is float and got == want, (p, got, want)
         for points in (good, np.array(good), np.array(good[::-1])):
-            got = call(points, samples, config())
+            got = call(points, config())
             want = [numbers[good.index(p)] for p in points]
             if monte_carlo:
                 assert got == want
@@ -122,20 +114,19 @@ def test_one_convention(name, evaluations):
         if not monte_carlo:
             grid = np.array(good[:4]).reshape(2, 2)
             want = np.reshape(numbers[:4], (2, 2)).tolist()
-            assert call(grid, samples, config()).tolist() == want
+            assert call(grid, config()).tolist() == want
     fine = good[0] if good is not None else 0.0
     evaluations.clear()
     for b in bad:
         for points in (b, [fine, b], [b, fine, fine]):
             with pytest.raises(mm.ValidationError, match=re.escape(f"got {b!r}")):
-                call(points, samples, config())
+                call(points, config())
     assert evaluations == []
 
 
 @pytest.mark.parametrize("name", CASES)
 def test_only_integers_and_floats(name, evaluations):
     call, good, _ = CASES[name]
-    samples = montecarlo.simulate_lambda_max(config())
     fine = good[0] if good is not None else 0.0
     evaluations.clear()
     wrong = [*NOT_REAL_ARRAYS, [[fine, fine], [fine]]]
@@ -143,5 +134,5 @@ def test_only_integers_and_floats(name, evaluations):
         wrong += [b, [fine, b], [b, fine, fine]]
     for points in wrong:
         with pytest.raises(mm.ValidationError, match="must be an integer or a float"):
-            call(points, samples, config())
+            call(points, config())
     assert evaluations == []
