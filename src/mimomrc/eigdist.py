@@ -276,11 +276,12 @@ def _ipow(x, k: int):
 
     Only multiplications, so a value rounds the same whether it comes alone
     or inside an array of any length (libm and SIMD ``pow`` need not agree).
+    An array's power is a new array, formed in place after its first product.
     """
     out = 1.0
     while k:
         if k & 1:
-            out = out * x
+            out *= x
         k >>= 1
         if k:
             x = x * x
@@ -317,31 +318,26 @@ def _exp_tail(t: np.ndarray, m: int) -> np.ndarray:
     the error relative. For t beyond the series' comfortable range the
     subtracted form is accurate (no comparable cancellation there). The
     series' length is fixed by ``m``, so every element is a function of
-    its own t alone.
+    its own t alone. The kernel is written over ``t``, which is returned.
     """
-    neg = -np.asarray(t, dtype=float)
+    neg = np.negative(t, out=t)
     series = neg > -(m + 1.0)
     if series.all():
         return _tail_series(neg, m)
-    out = np.empty_like(neg)
-    out[series] = _tail_series(neg[series], m)
     far = ~series
-    out[far] = _subtracted_tail(neg[far], m)
-    return out
-
-
-def _subtracted_tail(neg: np.ndarray, m: int) -> np.ndarray:
-    """exp(-t) minus its order-(m-1) Taylor partial sum, given -t."""
-    partial = np.ones_like(neg)
+    neg[series] = _tail_series(neg[series], m)
+    far_neg = neg[far]
+    partial = np.ones_like(far_neg)
     for k in range(m - 1, 0, -1):
-        partial *= neg
+        partial *= far_neg
         partial /= k
         partial += 1.0
-    return np.exp(neg) - partial
+    neg[far] = np.subtract(np.exp(far_neg, out=far_neg), partial, out=far_neg)
+    return neg
 
 
 def _tail_series(neg: np.ndarray, m: int) -> np.ndarray:
-    """sum_{k>=m} (-t)^k / k! from its power series, given -t.
+    """sum_{k>=m} (-t)^k / k! from its power series, written over -t.
 
     The series is (-t)^m / m! times a polynomial in -t with the
     precomputed coefficients of :func:`_series_coefficients`, evaluated by
@@ -354,20 +350,20 @@ def _tail_series(neg: np.ndarray, m: int) -> np.ndarray:
         sums += c
         sums *= neg
     sums += coefficients[0]
-    return _ipow(neg, m) / math.factorial(m) * sums
+    power = _ipow(neg, m)
+    return np.multiply(np.divide(power, math.factorial(m), out=power), sums, out=neg)
 
 
 def _psi_stack(minor, major, xs: np.ndarray) -> np.ndarray:
-    """The (len(xs), m, m) stack of evaluation matrices, one per point."""
+    """The (m, m, len(xs)) stack of evaluation matrices, points innermost
+    (``[:, :, k]`` is the matrix at ``xs[k]``), each row filled in place."""
     minor = np.asarray(minor, dtype=float)
-    major = np.asarray(major, dtype=float)
-    n, m = len(minor), len(major)
-    gap = m - n
-    inv = 1.0 / major
-    psi = np.empty((len(xs), m, m))
-    for i in range(gap):
-        psi[:, i, :] = _ipow(inv, m - 1 - i)
-    psi[:, gap:, :] = _exp_tail(xs[:, None, None] * inv / minor[:, None], m)
+    inv = 1.0 / np.asarray(major, dtype=float)
+    n, m = len(minor), len(inv)
+    psi = np.empty((m, m, len(xs)))
+    for i in range(m - n):
+        psi[i] = _ipow(inv, m - 1 - i)[:, None]
+    _exp_tail(np.divide(xs * inv[:, None], minor[:, None, None], out=psi[m - n:]), m)
     return psi
 
 
@@ -376,15 +372,16 @@ def psi_matrix(minor, major, x: float) -> np.ndarray:
 
     Rows below the dimension gap hold inverse powers of the major-side
     eigenvalues; the remaining rows hold the partial-exponential-sum
-    kernel exp(-t) - sum_{k<m} (-t)^k / k! with t = x / (minor * major).
-    Nothing in the library calls it: the tests check the kernel through it,
-    and the benchmark's traced mode times it as a span.
+    kernel exp(-t) - sum_{k<m} (-t)^k / k! with t = x / (minor * major):
+    the evaluator's stack at one point. Nothing in the library calls it:
+    the tests check the kernel through it, and the benchmark's traced mode
+    times it as a span.
     """
     minor = [float(v) for v in minor]
     major = [float(v) for v in major]
     if len(minor) > len(major) or not minor:
         raise ValidationError("need 1 <= len(minor) <= len(major)")
-    return _psi_stack(minor, major, checked_points(x, "evaluation point").reshape(1))[0]
+    return _psi_stack(minor, major, checked_points(x, "evaluation point").reshape(1))[:, :, 0]
 
 
 def _cdf_raw(model: EigDistModel, xs: np.ndarray) -> np.ndarray:
@@ -398,8 +395,11 @@ def _cdf_raw(model: EigDistModel, xs: np.ndarray) -> np.ndarray:
     x_pow = _ipow(xs, half_exp)
     value = 0.0
     for s in model.eval_sets:
-        det_psi = np.linalg.det(_psi_stack(s.minor, s.major, xs))
-        value = value + s.weight * common * det_psi / (s.vand_minor * s.vand_major * x_pow)
+        # numpy's det copies each matrix for LAPACK, so a strided stack costs nothing more
+        term = np.linalg.det(_psi_stack(s.minor, s.major, xs).transpose(2, 0, 1))
+        term *= s.weight * common
+        term /= s.vand_minor * s.vand_major * x_pow
+        value += term
     return value
 
 
@@ -493,9 +493,10 @@ def _find_saturation(model: EigDistModel) -> float:
     return x
 
 
-# Determinant-regime points per evaluator pass: bounds the (points, m, m)
-# work arrays of a large call, such as a whole SER sweep, to a few MB
-# (peak about 4 MB at 4x4).
+# Determinant-regime points per evaluator pass. A pass holds the block's
+# (m, m, points) stack and a few arrays the size of its kernel rows, which
+# are filled in place, so its memory does not grow with the call (such as a
+# whole SER sweep): measured peaks 1.6 MB at 4x4 and 0.8 MB at 2x3.
 _EVAL_BLOCK = 4096
 
 
@@ -509,15 +510,13 @@ def _determinant_cdf(model: EigDistModel, xs: np.ndarray) -> np.ndarray:
     """
     raw = _cdf_raw(model, xs)
     excess = np.maximum(raw - 1.0, -raw)
-    bad = ~(excess <= _range_slack(model)) & (model.crossover <= xs) & (xs <= model.saturation)
-    if bad.any():
-        i = np.flatnonzero(bad)[0]
-        raise NumericalError(
-            f"determinant form out of range by {excess[i]:.3e} at x={float(xs[i])!r}"
-        )
-    clamped = np.clip(raw, 0.0, 1.0)
-    clamped[clamped >= 1.0 - _ONE_SNAP] = 1.0
-    return clamped
+    for i in np.flatnonzero(~(excess <= _range_slack(model))):
+        if model.crossover <= xs[i] <= model.saturation:
+            raise NumericalError(f"determinant form out of range by {excess[i]:.3e} "
+                                 f"at x={float(xs[i])!r}")
+    np.clip(raw, 0.0, 1.0, out=raw)
+    raw[raw >= 1.0 - _ONE_SNAP] = 1.0
+    return raw
 
 
 def cdf(model: EigDistModel, x):
@@ -538,10 +537,10 @@ def cdf(model: EigDistModel, x):
     determinant form's own rounding error, which the tied-eigenvalue
     guard's noise floor estimates.
 
-    Determinant-regime points are taken ``_EVAL_BLOCK`` at a time, one
-    stacked determinant per evaluation set and block, so the evaluator's
-    working memory does not grow with the array; every point's value
-    depends on that point alone.
+    Determinant-regime points are taken ``_EVAL_BLOCK`` at a time: per
+    evaluation set, one (m, m, points) stack filled in place and one
+    determinant call, so the evaluator's working memory does not grow with
+    the array; every point's value depends on that point alone.
     """
     xs = checked_points(x, "evaluation point")
     flat = xs.ravel()
@@ -554,7 +553,8 @@ def cdf(model: EigDistModel, x):
     floor = min(1.0, model.alpha * _ipow(model.crossover, mn))
     for start in range(0, det.size, _EVAL_BLOCK):
         block = det[start : start + _EVAL_BLOCK]
-        out[block] = np.maximum(_determinant_cdf(model, flat[block]), floor)
+        values = _determinant_cdf(model, flat[block])
+        out[block] = np.maximum(values, floor, out=values)
     return out.reshape(xs.shape) if xs.ndim else float(out[0])
 
 

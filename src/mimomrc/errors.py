@@ -43,8 +43,9 @@ def checked_numbers(values, refusal: str, complex_ok: bool = False) -> np.ndarra
     numpy array (of dtype object unless it was an array already), if each
     is an integer or a float or, with ``complex_ok``, a complex number; a
     bool, a string, any other object or a ragged nest of lists is refused
-    with ``ValidationError``: ``refusal``, then ``values``. The one type
-    rule of points and of matrices."""
+    with ``ValidationError``: ``refusal``, then ``values``. So is an
+    integer larger in size than the largest double, naming the integer:
+    no float holds it. The one type rule of points and of matrices."""
     raw = values if isinstance(values, np.ndarray) else np.array(values, dtype=object)
     kinds, number = ("iufc", numbers.Complex) if complex_ok else ("iuf", numbers.Real)
     if raw.dtype != object:
@@ -53,6 +54,10 @@ def checked_numbers(values, refusal: str, complex_ok: bool = False) -> np.ndarra
         ok = all(isinstance(v, number) and not isinstance(v, bool) for v in raw.flat)
     if not ok:
         raise ValidationError(f"{refusal}, got {values!r}")
+    for v in raw.flat if raw.dtype == object else ():
+        if isinstance(v, numbers.Integral) and not abs(v) <= sys.float_info.max:
+            raise ValidationError(f"{refusal}; an integer must lie within the double range "
+                                  f"(size at most {sys.float_info.max:.5g}), got {v!r}")
     return raw
 
 

@@ -513,11 +513,11 @@ def empirical_cdf(cfg: McConfig, grid):
 
 def _fractions(samples: np.ndarray, points: np.ndarray) -> np.ndarray:
     """The fraction of ``samples`` at or below each of the checked
-    ``points``, flat: one comparison and one count per point, about
-    0.5 ms per point and 10^6 samples, on the calling thread (the counts
-    cost less than starting the worker threads)."""
-    counts = [np.count_nonzero(samples <= x) for x in points.ravel().tolist()]
-    return np.array(counts, dtype=np.int64) / samples.size
+    ``points``, flat, on the calling thread: one sort of the samples per
+    call (about 8 ms per 10^6; the sorted copy is not kept), then a
+    binary search per point, which counts what a comparison would."""
+    counts = np.searchsorted(np.sort(samples), points.ravel(), side="right")
+    return counts / samples.size
 
 
 def _merge(stat_a, stat_b):

@@ -116,7 +116,9 @@ class TestMakePair:
         [[True, False], [False, True]],
         np.eye(2, dtype=bool),
         np.array([["1", "0"], ["0", "1"]]),
-    ], ids=["ragged", "string", "numeric-strings", "bools", "bool-array", "string-array"])
+        [[10**400, 0], [0, 1]],
+    ], ids=["ragged", "string", "numeric-strings", "bools", "bool-array", "string-array",
+            "int-beyond-double"])
     def test_rejects_malformed(self, mat):
         # refused naming the side, not as numpy's bare ValueError, and not
         # converted: numpy would read "0.5" as 0.5 and True as 1
@@ -218,7 +220,8 @@ class TestCsvRoundTrip:
         ([[1, "x"], ["x", 1]], "numeric matrix"),
         ([["1", "0.5"], ["0.5", "1"]], "numeric matrix"),
         ([[True, False], [False, True]], "numeric matrix"),
-    ], ids=["1x3", "0x0", "ragged", "string", "numeric-strings", "bools"])
+        ([[1, 0], [0, -10**400]], "within the double range"),
+    ], ids=["1x3", "0x0", "ragged", "string", "numeric-strings", "bools", "int-beyond-double"])
     def test_save_refuses_what_load_refuses(self, tmp_path, mat, match):
         path = tmp_path / "bad.csv"
         with pytest.raises(ValidationError, match=match):

@@ -200,7 +200,9 @@ class TestConfigValidation:
         [["1", "0.5"], ["0.5", "1"]],
         [[True, False], [False, True]],
         np.eye(2, dtype=bool),
-    ], ids=["ragged", "string", "nan", "numeric-strings", "bools", "bool-array"])
+        [[1, 10**400], [0, 1]],
+    ], ids=["ragged", "string", "nan", "numeric-strings", "bools", "bool-array",
+            "int-beyond-double"])
     @pytest.mark.parametrize("side", ["rx_corr", "tx_corr"])
     def test_malformed_matrix_refused_when_built(self, side, mat):
         with pytest.raises(ValidationError, match=side):
@@ -437,13 +439,13 @@ class TestMcOutage:
     def test_bad_threshold_anywhere_refused_before_counting(self, gammas, bad, monkeypatch, drawn):
         cfg = montecarlo.McConfig(n_rx=2, n_tx=2, trials=1000, seed=9)
         counts = []
-        count_nonzero = np.count_nonzero
+        searchsorted = np.searchsorted
 
         def counting(*args, **kwargs):
             counts.append(1)
-            return count_nonzero(*args, **kwargs)
+            return searchsorted(*args, **kwargs)
 
-        monkeypatch.setattr(np, "count_nonzero", counting)
+        monkeypatch.setattr(np, "searchsorted", counting)
         for thresholds in (gammas, np.array(gammas)):
             with pytest.raises(ValidationError, match=f"threshold must be positive, got {bad}"):
                 montecarlo.mc_outage(cfg, 0.0, thresholds)
@@ -1046,6 +1048,18 @@ class TestEstimators:
         samples = montecarlo._checked_samples(np.array([0.0, -0.0, 2.0]))
         assert montecarlo._ser_estimate(samples, EIGHT_PSK, linear(10.0), 1).trials == 3
         assert montecarlo._fractions(samples, np.array([1.0])).tolist() == [2 / 3]
+
+    def test_fractions_are_count_nonzero_counts(self):
+        # the sorted count against one comparison per point: points equal to
+        # samples, below 0, at ±0 and above the maximum, over tied and
+        # zero-valued samples
+        samples = np.concatenate([np.random.default_rng(26).exponential(2.0, 995),
+                                  [0.0, -0.0, 0.0, 1.5, 1.5]])
+        points = np.concatenate([samples[::9], [-1.0, -1e-300, -0.0, 0.0, 5e-324, 1.5,
+                                                np.nextafter(1.5, 0.0), samples.max(),
+                                                samples.max() * 2.0, 1e300]])
+        want = [np.count_nonzero(samples <= x) / samples.size for x in points.tolist()]
+        assert montecarlo._fractions(samples, points).tolist() == want
 
     def test_estimates_are_python_floats(self):
         cfg = montecarlo.McConfig(n_rx=2, n_tx=2, trials=1000, seed=6)

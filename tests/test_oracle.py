@@ -1,7 +1,8 @@
 """Independent references: 50-digit mpmath eigenvalues of the correlation
 matrices, and for the array c.d.f. evaluator a 50-digit mpmath evaluation
 of the determinant form (both from ``oracle.py``), the scalar psi-matrix +
-``linalg.det`` route the evaluator replaced, and batch independence."""
+``linalg.det`` route the evaluator replaced, the (points, m, m) stack
+whose bits the evaluator's in-place stack keeps, and batch independence."""
 
 import math
 
@@ -84,6 +85,75 @@ def scalar_cdf_raw(model, x):
     return value
 
 
+# --- (points, m, m) route: every step a new array --------------------------
+
+
+def reference_ipow(x, k):
+    out = 1.0
+    while k:
+        if k & 1:
+            out = out * x
+        k >>= 1
+        if k:
+            x = x * x
+    return out
+
+
+def reference_exp_tail(t, m):
+    neg = -np.asarray(t, dtype=float)
+    series = neg > -(m + 1.0)
+    out = np.empty_like(neg)
+    coefficients = eigdist._series_coefficients(m)
+    s = neg[series]
+    sums = coefficients[-1] * s
+    for c in coefficients[-2:0:-1]:
+        sums += c
+        sums *= s
+    sums += coefficients[0]
+    out[series] = reference_ipow(s, m) / math.factorial(m) * sums
+    f = neg[~series]
+    partial = np.ones_like(f)
+    for k in range(m - 1, 0, -1):
+        partial *= f
+        partial /= k
+        partial += 1.0
+    out[~series] = np.exp(f) - partial
+    return out
+
+
+def reference_psi_stack(minor, major, xs):
+    """The (len(xs), m, m) stack of evaluation matrices, one per point."""
+    minor = np.asarray(minor, dtype=float)
+    major = np.asarray(major, dtype=float)
+    n, m = len(minor), len(major)
+    gap = m - n
+    inv = 1.0 / major
+    psi = np.empty((len(xs), m, m))
+    for i in range(gap):
+        psi[:, i, :] = reference_ipow(inv, m - 1 - i)
+    psi[:, gap:, :] = reference_exp_tail(xs[:, None, None] * inv / minor[:, None], m)
+    return psi
+
+
+def reference_cdf_raw(model, xs):
+    n, m = model.n_min, model.n_max
+    half_exp = n * (n - 1) // 2
+    sign = -1.0 if (n + half_exp) % 2 else 1.0
+    gamma_nn = float(multivariate_gamma_norm(n, n))
+    common = sign * gamma_nn * model.det_minor ** (n - 1) * model.det_major ** (m - 1)
+    x_pow = reference_ipow(xs, half_exp)
+    value = 0.0
+    for s in model.eval_sets:
+        det_psi = np.linalg.det(reference_psi_stack(s.minor, s.major, xs))
+        value = value + s.weight * common * det_psi / (s.vand_minor * s.vand_major * x_pow)
+    return value
+
+
+def bits(a):
+    """The float64 bit patterns of ``a``: equal bits, signed zeros included."""
+    return np.ascontiguousarray(a, dtype=float).view(np.uint64)
+
+
 TIED_RX = np.array([[1.0, 0.5, 0.0], [0.5, 1.0, 0.0], [0.0, 0.0, 1.0]])
 COMPLEX_RX = np.array([[1.0, 0.4 + 0.3j, 0.1 - 0.25j],
                        [0.4 - 0.3j, 1.0, 0.5j],
@@ -162,7 +232,7 @@ class TestMpmathOracle:
         # both sides of the switch at t = m + 1, against the 50-digit series
         for m in range(1, 9):
             ts = np.concatenate([np.geomspace(1e-8, m + 1, 40), np.linspace(0.2, 3 * (m + 1), 40)])
-            got = eigdist._exp_tail(ts, m)
+            got = eigdist._exp_tail(ts.copy(), m)  # the kernel is written over its argument
             with mp.workdps(50):
                 want = np.array([float(mp_exp_tail(mp.mpf(float(t)), m)) for t in ts])
             assert np.max(np.abs(got / want - 1.0)) <= 2e-15, m
@@ -263,6 +333,43 @@ class TestScalarRoute:
             )
 
 
+class TestStackLayout:
+    """The points-innermost stack, filled in place, against the
+    (points, m, m) stack built from new arrays: the same bits."""
+
+    # gap rows (2x3, 1x4), square (3x3, 4x4), and two evaluation sets
+    # each on the tied 2x3 and 4x4 identities
+    MODELS = [(2, 3, 0.5, 0.5), (4, 1, 0.0, 0.9), (3, 3, 0.9, 0.9), (4, 4, 0.5, 0.5),
+              (2, 3, 0.0, 0.0), (4, 4, 0.0, 0.0)]
+
+    @staticmethod
+    def blocks(minor, major):
+        # t = x / (minor * major) below m + 1 everywhere (series only),
+        # above it everywhere (far only), and on both sides, shuffled
+        m = len(major)
+        low = (m + 1.0) * minor[0] * major[0]
+        high = (m + 1.0) * minor[-1] * major[-1]
+        return {
+            "series": np.concatenate([[0.0], np.geomspace(1e-9 * low, 0.999 * low, 300)]),
+            "far": np.geomspace(1.001 * high, 1e3 * high, 300),
+            "mixed": np.random.default_rng(26).permutation(np.geomspace(1e-3 * low, 10 * high, 700)),
+        }
+
+    @pytest.mark.parametrize("args", MODELS, ids=lambda a: "{}x{}-rho{}-{}".format(*a))
+    def test_stack_and_raw_form_keep_their_bits(self, args):
+        model = model_for(*args)
+        assert len(model.eval_sets) == (2 if model.degenerate else 1)
+        for s in model.eval_sets:
+            for kind, xs in self.blocks(s.minor, s.major).items():
+                got = eigdist._psi_stack(s.minor, s.major, xs)
+                assert got.shape == (model.n_max, model.n_max, len(xs)), kind
+                want = reference_psi_stack(s.minor, s.major, xs)
+                np.testing.assert_array_equal(bits(got.transpose(2, 0, 1)), bits(want), kind)
+        xs = determinant_points(model, 200)
+        np.testing.assert_array_equal(bits(eigdist._cdf_raw(model, xs)),
+                                      bits(reference_cdf_raw(model, xs)))
+
+
 class TestBatchIndependence:
     MODELS = [(2, 2, 0.5, 0.5), (3, 2, 0.9, 0.0), (4, 4, 0.0, 0.0), (1, 3, 0.0, 0.9)]
 
@@ -285,10 +392,13 @@ class TestBatchIndependence:
 
         check()
 
-    def test_blocks_are_invisible(self):
+    @pytest.mark.parametrize("args", [(2, 3, 0.5, 0.5), (3, 3, 0.9, 0.9), (4, 4, 0.0, 0.0)],
+                             ids=["2x3-rho0.5", "3x3-rho0.9", "4x4-identity"])
+    def test_blocks_are_invisible(self, args):
         # determinant-regime points in a shuffled order, around and past
-        # whole evaluator blocks, against one call per point
-        model = model_for(2, 3, 0.5, 0.5)
+        # whole evaluator blocks, against one call per point; the identity
+        # model takes two evaluation sets
+        model = model_for(*args)
         block = eigdist._EVAL_BLOCK
         xs = np.geomspace(model.crossover, model.saturation, 3 * block + 8)[:-1]
         xs = np.random.default_rng(7).permutation(xs)
