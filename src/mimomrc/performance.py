@@ -60,7 +60,6 @@ _GL_HALF = np.array([
 _GL_NODES = np.concatenate((-_GL_HALF[:0:-1, 0], _GL_HALF[:, 0]))
 _GL_WEIGHTS = np.concatenate((_GL_HALF[:0:-1, 1], _GL_HALF[:, 1]))
 _MAX_BISECTIONS = 40
-_MAX_BLOCKS = 400
 
 # Intervals that may descend from one starting interval at one bisection
 # level. Integrands that converge need a few (4 as a rule, 1,508 at most
@@ -70,7 +69,7 @@ _MAX_FANOUT = 4096
 
 # The SER quadrature sizes its tolerance from single-panel estimates of the
 # first blocks: _SIZING_ROUND more blocks per round for each SNR whose
-# stop rule has not fired, up to _SIZING_PANELS blocks.
+# truncation rule has not fired, which it does by block 28 of _SIZING_PANELS.
 _SIZING_ROUND = 8
 _SIZING_PANELS = 32
 
@@ -204,20 +203,24 @@ def _adaptive(f, lo, hi, whole, tol, floor, noise_rate, depth, *args) -> np.ndar
 
 def _size_blocks(f, b: float, gbar: np.ndarray):
     """Single-panel estimates of the first blocks of f(v, gbar), for each
-    gbar of a 1-D array, as many as its stop rule needs.
+    gbar of a 1-D array, and how many blocks its truncation rule counts.
 
-    The blocks and the stop rule are those of :func:`_integrate_blocks`,
-    here applied to the running sum of the panels. Each round evaluates
-    the next ``_SIZING_ROUND`` panels of every gbar whose stop rule has not
-    fired, in one evaluator call, up to ``_SIZING_PANELS`` panels; a gbar's
-    panels of a round are one (_SIZING_ROUND, 31) slice, as in a call for
-    that gbar alone. Returns the panels (row i for ``gbar[i]``, zero past
-    the ones evaluated), how many were evaluated, and how many blocks the
-    stop rule needs (all evaluated ones where it never fired).
+    Block j (from 0) is [j w, (j + 1) w], w = 1/sqrt(b), and f decays at
+    least like exp(-b v^2). The rule counts the first k blocks once the
+    Gaussian tail past k w, at most exp(-k^2) max(1, w/(2k)), is at most
+    1e-16 of the running sum of their panels (both 0 where f underflows).
+    exp(-k^2) underflows to 0 at k = 28, so for any b the rule fires by
+    block 28, inside the ``_SIZING_PANELS`` panels.
+
+    Each round evaluates the next ``_SIZING_ROUND`` panels of every gbar
+    whose rule has not fired, in one evaluator call, up to
+    ``_SIZING_PANELS`` panels; a gbar's panels of a round are one
+    (_SIZING_ROUND, 31) slice, as in a call for that gbar alone. Returns
+    the panels (row i for ``gbar[i]``, zero past the ones evaluated) and
+    each gbar's block count.
     """
     width = 1.0 / math.sqrt(b)
     wholes = np.zeros((len(gbar), _SIZING_PANELS))
-    sized = np.zeros(len(gbar), dtype=int)
     counts = np.full(len(gbar), _SIZING_PANELS)
     pending = np.arange(len(gbar))
     for start in range(0, _SIZING_PANELS, _SIZING_ROUND):
@@ -226,87 +229,15 @@ def _size_blocks(f, b: float, gbar: np.ndarray):
         end = start + _SIZING_ROUND
         lo = width * np.arange(start, end)
         wholes[pending, start:end] = _gl_panel(f, lo, lo + width, gbar[pending, None])
-        sized[pending] = end
         running = np.cumsum(wholes[pending, :end], axis=1)[:, start:]
-        ends = width * np.arange(start + 1, end + 1)
-        stops = np.exp(-b * ends * ends) <= 1e-16 * running
+        ks = np.arange(start + 1, end + 1)
+        ends = width * ks
+        tails = np.exp(-b * ends * ends) * np.maximum(1.0, 0.5 * width / ks)
+        stops = tails <= 1e-16 * running
         fired = stops.any(axis=1)
         counts[pending[fired]] = start + 1 + stops[fired].argmax(axis=1)
         pending = pending[~fired]
-    return wholes, sized, counts
-
-
-def _integrate_blocks(f, b: float, wholes: np.ndarray, sized: np.ndarray, counts: np.ndarray,
-                      tol: np.ndarray, floor: np.ndarray, noise_rate: float,
-                      gbar: np.ndarray) -> np.ndarray:
-    """Integrate f(v, gbar) over v in [0, inf) for each gbar of a 1-D
-    array, where f decays at least like exp(-b v^2).
-
-    For each gbar, fixed-width blocks are appended until the Gaussian
-    envelope at the block boundary is at most 1e-16 of its running total
-    (both 0 where f underflows); each block is refined by adaptive
-    bisection of a 31-point Gauss-Legendre rule. ``wholes``, ``sized``
-    and ``counts`` come from :func:`_size_blocks`: row i of ``wholes``
-    holds the single-panel estimates of the first ``sized[i]`` blocks for
-    ``gbar[i]``, their starting estimates; a later block starts from a
-    fresh (1, 31) panel. ``tol`` and ``floor`` hold each gbar's tolerances.
-
-    The ``counts[i]`` blocks that those estimates say the stop rule needs
-    are refined together, and the stop rule is then applied block by block
-    to the refined values, so the sum is the one a block-at-a-time loop
-    gives. Each round refines the next blocks of every gbar still open in
-    one ``_adaptive`` call; a gbar's blocks are summed, and its stop rule
-    applied, exactly as a call for that gbar alone does them.
-    """
-    width = 1.0 / math.sqrt(b)
-    counts = counts.tolist()
-    totals = [0.0] * len(gbar)
-    nexts = [0] * len(gbar)
-    pending = list(range(len(gbar)))
-    while pending:
-        ks = [np.arange(nexts[i], min(nexts[i] + counts[i], _MAX_BLOCKS)) for i in pending]
-        lengths = [len(k) for k in ks]
-        owner = np.repeat(pending, lengths)
-        ks = np.concatenate(ks)
-        lo = ks * width
-        hi = lo + width
-        fresh = ks >= sized[owner]
-        block_wholes = np.empty(len(ks))
-        block_wholes[~fresh] = wholes[owner[~fresh], ks[~fresh]]
-        if fresh.any():
-            # a (1, 31) panel per block, the shape a one-SNR call gives it,
-            # so the weights' dot product rounds alike
-            block_wholes[fresh] = _gl_panel(
-                f, lo[fresh, None], hi[fresh, None], gbar[owner[fresh], None]
-            )[:, 0]
-        values = _adaptive(
-            f, lo, hi, block_wholes, np.ldexp(tol[owner], -(ks + 2)) + 1e-300, floor[owner],
-            noise_rate, _MAX_BISECTIONS, gbar[owner],
-        ).tolist()
-        hi = hi.tolist()
-        still_open = []
-        start = 0
-        for i, length in zip(pending, lengths):
-            total = totals[i]
-            for value, block_hi in zip(values[start : start + length], hi[start : start + length]):
-                total += value
-                if math.exp(-b * block_hi * block_hi) <= 1e-16 * total:
-                    break
-            else:
-                still_open.append(i)
-            totals[i] = total
-            nexts[i] += length
-            counts[i] = 1
-            start += length
-        pending = still_open
-        for i in pending:
-            if nexts[i] >= _MAX_BLOCKS:
-                raise QuadratureError(
-                    "semi-infinite quadrature did not converge within the block budget",
-                    estimate=totals[i],
-                    error_bound=math.inf,
-                )
-    return np.array(totals)
+    return wholes, counts
 
 
 def exact_ser(model: EigDistModel, mod: Modulation, snr_db) -> float | np.ndarray:
@@ -324,8 +255,11 @@ def exact_ser(model: EigDistModel, mod: Modulation, snr_db) -> float | np.ndarra
     a single evaluator call, and each element is bit for bit the value a
     call at that SNR alone returns. An SNR refused anywhere (see the
     module docstring) raises ``ValidationError`` before any evaluation.
-    Each SNR sizes its tolerance from single panels over as many leading
-    blocks as its truncation rule needs, in rounds of ``_SIZING_ROUND``.
+    The truncation rule is applied once, to single panels over each SNR's
+    leading blocks (see :func:`_size_blocks`): it counts at most 28 blocks
+    for any ``mod.b``, their panels size the SNR's tolerance, and the
+    counted blocks of every SNR are then bisected together and each SNR's
+    summed in block order.
 
     The quadrature's tolerance is absolute 1e-12 or relative 1e-8,
     whichever is looser, for models with distinct correlation eigenvalues;
@@ -349,17 +283,25 @@ def exact_ser(model: EigDistModel, mod: Modulation, snr_db) -> float | np.ndarra
     def integrand(v: np.ndarray, g: np.ndarray) -> np.ndarray:
         return np.exp(-mod.b * v * v) * cdf(model, _cdf_argument(v * v, g))
 
-    # Single panels over the first blocks, as many as each SNR's stop rule
-    # needs, size the tolerance (abs 1e-12 / rel 1e-8 on the SER, whichever
-    # is looser); panels past the stop add less than 1e-16 of their sum.
-    # The same panels are the blocks' starting estimates in the adaptive pass.
-    wholes, sized, counts = _size_blocks(integrand, mod.b, gbar)
+    # Single panels over the first blocks, as many as each SNR's truncation
+    # rule counts (at most 28), size the tolerance (abs 1e-12 / rel 1e-8 on
+    # the SER, whichever is looser); the Gaussian tail past them is at most
+    # 1e-16 of their sum. They are also the blocks' starting estimates:
+    # every SNR's counted blocks are bisected together, and each SNR's
+    # refined blocks are summed in block order.
+    wholes, counts = _size_blocks(integrand, mod.b, gbar)
     rough = np.sum(wholes, axis=1)
     tol = np.maximum(_SER_ABS_TOL, _SER_REL_TOL * scale * np.abs(rough)) / scale
     floor = 1e-15 * np.maximum(np.abs(rough), 1e-300)
-    value = scale * _integrate_blocks(
-        integrand, mod.b, wholes, sized, counts, tol, floor, model.noise_floor, gbar
+    owner, ks = np.nonzero(np.arange(_SIZING_PANELS) < counts[:, None])
+    width = 1.0 / math.sqrt(mod.b)
+    lo = ks * width
+    values = _adaptive(
+        integrand, lo, lo + width, wholes[owner, ks],
+        np.ldexp(tol[owner], -(ks + 2)) + 1e-300, floor[owner], model.noise_floor,
+        _MAX_BISECTIONS, gbar[owner],
     )
+    value = scale * np.bincount(owner, values, len(gbar))
     ser = np.minimum(1.0, np.maximum(0.0, value)).reshape(gbars.shape)
     return ser if ser.ndim else float(ser)
 

@@ -74,10 +74,32 @@ class TestExactSer:
             assert got.tobytes() == want.tobytes()
 
     def test_siso_closed_form(self):
+        # a/2 (1 - sqrt(b snr / (1 + b snr))); b = 1e-40 makes blocks of
+        # width w = 1/sqrt(b) = 1e20, and the Gaussian tail past k of them
+        # about exp(-k^2) w/(2k), far above exp(-k^2)
         model = model_for(0, 1, 0, 1)
-        bpsk = performance.modulation_preset("bpsk")
-        got = performance.exact_ser(model, bpsk, 10.0)
-        assert got == pytest.approx(siso_bpsk_ser(10.0), rel=1e-10)
+        for mod, snr_db in ((performance.modulation_preset("bpsk"), 10.0),
+                            (performance.Modulation("tiny-b", 2.0, 1e-40), 0.0)):
+            got = performance.exact_ser(model, mod, snr_db)
+            want = mod.a * siso_bpsk_ser(mod.b * 10.0 ** (snr_db / 10.0))
+            assert got == pytest.approx(want, rel=1e-10), mod
+
+    @pytest.mark.parametrize("b", [1e-300, 1e-40, 0.146, 1.0, 1e300])
+    def test_truncation_rule_fires_by_block_28(self, b):
+        # exp(-k^2) underflows to 0 at k = 28, so the rule counts at most 28
+        # of the 32 sized blocks whatever b and the SNR, and the blocks it
+        # counts are all exact_ser integrates
+        mod = performance.Modulation("x", 2.0, b)
+        snrs = np.array([-3000.0, -50.0, 0.0, 50.0, 300.0, 3000.0])
+        for model in (model_for(0, 1, 0, 1), model_for(0.5, 2, 0.5, 3)):
+
+            def integrand(v, g):
+                return np.exp(-b * v * v) * eigdist.cdf(model, performance._cdf_argument(v * v, g))
+
+            _, counts = performance._size_blocks(integrand, b, 10.0 ** (snrs / 10.0))
+            assert ((1 <= counts) & (counts <= 28)).all(), counts
+            ser = performance.exact_ser(model, mod, snrs)
+            assert ((0.0 <= ser) & (ser <= 1.0)).all(), ser
 
     def test_bounded_and_positive_at_high_snr(self):
         model = model_for(0.5, 2, 0.5, 2)
