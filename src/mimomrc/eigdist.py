@@ -52,7 +52,9 @@ _ONE_SNAP = 1e-6
 # 4e-4 at mn=16, and theta sits several times above each.
 _SAT_STEP = 1.05
 _SAT_MAX_STEPS = 800
-_SAT_CHUNK = 32  # scan points per evaluator call; divides _SAT_MAX_STEPS
+# Scan points per evaluator call; divides _SAT_MAX_STEPS. The grid models
+# of 1-4 antennas a side stop within 48-236 steps, so most take one call.
+_SAT_CHUNK = 160
 
 
 def _saturation_theta(mn: int) -> float:
@@ -384,9 +386,49 @@ def psi_matrix(minor, major, x: float) -> np.ndarray:
     return _psi_stack(minor, major, checked_points(x, "evaluation point").reshape(1))[:, :, 0]
 
 
+def _det_stack(a: np.ndarray) -> np.ndarray:
+    """Determinants of an (m, m, points) stack, one per point, by Gaussian
+    elimination with partial pivoting run across the points axis; the
+    stack is overwritten.
+
+    In each column every point takes its own first row of largest
+    magnitude as pivot, swapped in by masked copies, and the multipliers
+    and row updates are whole-row operations over the points, so a point's
+    value depends on that point alone. The determinant is the signed
+    product of the pivots. A zero pivot column gives 0: its multipliers
+    stay 0. Entries that are not finite give a value that is not finite;
+    neither case warns.
+    """
+    m, points = a.shape[0], a.shape[2]
+    odd = np.zeros(points, dtype=bool)
+    pivots = np.empty(points, dtype=np.intp)
+    top = np.empty_like(a[0])
+    with np.errstate(invalid="ignore"):
+        for k in range(m - 1):
+            rows = a[k:, k:]
+            mags = np.abs(rows[:, 0])
+            pivots.fill(0)
+            for i in range(1, m - k):
+                np.copyto(pivots, i, where=mags[i] > mags[0])
+                np.maximum(mags[0], mags[i], out=mags[0])
+            np.copyto(top[k:], rows[0])
+            for i in range(1, m - k):
+                swap = pivots == i
+                np.copyto(rows[0], rows[i], where=swap)
+                np.copyto(rows[i], top[k:], where=swap)
+            np.logical_xor(odd, pivots, out=odd)
+            pivot, multipliers = rows[0, 0], rows[1:, 0]
+            np.divide(multipliers, pivot, out=multipliers, where=pivot != 0.0)
+            rows[1:, 1:] -= multipliers[:, None] * rows[0, 1:]
+    det = a[0, 0].copy()
+    for k in range(1, m):
+        det *= a[k, k]
+    return np.negative(det, out=det, where=odd)
+
+
 def _cdf_raw(model: EigDistModel, xs: np.ndarray) -> np.ndarray:
     """Unclamped determinant-form c.d.f. at every x > 0 of a 1-D array
-    (Richardson-combined under ties): one stacked determinant per set."""
+    (Richardson-combined under ties): one stacked elimination per set."""
     n, m = model.n_min, model.n_max
     half_exp = n * (n - 1) // 2
     sign = -1.0 if (n + half_exp) % 2 else 1.0
@@ -395,8 +437,7 @@ def _cdf_raw(model: EigDistModel, xs: np.ndarray) -> np.ndarray:
     x_pow = _ipow(xs, half_exp)
     value = 0.0
     for s in model.eval_sets:
-        # numpy's det copies each matrix for LAPACK, so a strided stack costs nothing more
-        term = np.linalg.det(_psi_stack(s.minor, s.major, xs).transpose(2, 0, 1))
+        term = _det_stack(_psi_stack(s.minor, s.major, xs))
         term *= s.weight * common
         term /= s.vand_minor * s.vand_major * x_pow
         value += term
@@ -494,9 +535,10 @@ def _find_saturation(model: EigDistModel) -> float:
 
 
 # Determinant-regime points per evaluator pass. A pass holds the block's
-# (m, m, points) stack and a few arrays the size of its kernel rows, which
-# are filled in place, so its memory does not grow with the call (such as a
-# whole SER sweep): measured peaks 1.6 MB at 4x4 and 0.8 MB at 2x3.
+# (m, m, points) stack, a few arrays the size of its kernel rows, which are
+# filled in place, and the elimination's row-sized temporaries, so its
+# memory does not grow with the call (such as a whole SER sweep): measured
+# peaks 1.58 MiB at 4x4 identity and 0.83 MiB at 2x3.
 _EVAL_BLOCK = 4096
 
 
@@ -539,8 +581,9 @@ def cdf(model: EigDistModel, x):
 
     Determinant-regime points are taken ``_EVAL_BLOCK`` at a time: per
     evaluation set, one (m, m, points) stack filled in place and one
-    determinant call, so the evaluator's working memory does not grow with
-    the array; every point's value depends on that point alone.
+    pivoted elimination across its points axis, so the evaluator's working
+    memory does not grow with the array; every point's value depends on
+    that point alone.
     """
     xs = checked_points(x, "evaluation point")
     flat = xs.ravel()

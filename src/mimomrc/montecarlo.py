@@ -68,6 +68,12 @@ _BATCH = 1 << 16
 # block, large enough that numpy's per-call overhead stays small.
 _BLOCK = 8192
 
+# Byte alignment of the draw's output and work buffers. The allocator
+# places a buffer at whatever offset within a page it has free, and the
+# same draw has read about 6% slower at one set of offsets than at
+# another, so each buffer starts on a page boundary.
+_ALIGN = 4096
+
 # Each config's samples, kept for as long as the config object lives.
 _DRAWS: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
 
@@ -177,6 +183,16 @@ def lambda_max(h) -> np.ndarray:
     return out
 
 
+def _aligned_empty(shape, dtype=float) -> np.ndarray:
+    """An uninitialised array whose data start on an ``_ALIGN``-byte
+    boundary: a view into a byte buffer ``_ALIGN`` bytes longer."""
+    dtype = np.dtype(dtype)
+    size = math.prod(shape) * dtype.itemsize
+    raw = np.empty(size + _ALIGN, dtype=np.uint8)
+    start = -raw.ctypes.data % _ALIGN
+    return raw[start : start + size].view(dtype).reshape(shape)
+
+
 def _plane_axes(n_rx: int, n_tx: int) -> tuple[int, int, int]:
     """The transpose that lays (rows, n_rx, n_tx) channels out as
     (n_min, n_max, rows). On the smaller side h^T conj(h) is the conjugate
@@ -188,11 +204,13 @@ def _planar_work(n: int, rows: int) -> tuple[np.ndarray, ...]:
     """Work buffers of :func:`_planar_lambda_max` for up to ``rows`` rows
     of channels with ``n`` antennas on the smaller side: the rows of
     :func:`_gram_entries`, then from four antennas a complex (n, n, rows)
-    Gram matrix, zeroed."""
-    flat = np.empty((n * (n + 7), rows))
+    Gram matrix, zeroed; each starts on an ``_ALIGN``-byte boundary."""
+    flat = _aligned_empty((n * (n + 7), rows))
     if n <= 3:
         return (flat,)
-    return flat, np.zeros((n, n, rows), dtype=np.complex128)
+    gram = _aligned_empty((n, n, rows), np.complex128)
+    gram.fill(0.0)
+    return flat, gram
 
 
 def _gram_entries(planes: np.ndarray, flat: np.ndarray) -> np.ndarray:
@@ -406,7 +424,8 @@ def simulate_lambda_max(cfg: McConfig) -> np.ndarray:
     (``taskset``, ``os.sched_setaffinity``), at most one per batch. Batch
     ``i`` holds trials ``i * _BATCH`` onward and is drawn from its own
     stream, so the samples do not depend on the worker count. Each worker
-    draws into buffers this thread allocates before the pool starts: one
+    draws into buffers this thread allocates before the pool starts, each
+    on an ``_ALIGN``-byte boundary as the output is: one
     batch's real normals (``n_rx·n_tx·0.5`` MiB), ``_BLOCK`` rows of
     imaginary normals, the two planes of ``_BLOCK`` channels and the
     λmax kernel's work buffers. A worker holds 1.9 MiB beyond the real
@@ -435,15 +454,15 @@ def _draw(cfg: McConfig, workers: int) -> np.ndarray:
     pair = to_pair(cfg)
     std = np.sqrt(0.5 * np.outer(pair.minor_eigs, pair.major_eigs))[..., None]
     axes = _plane_axes(cfg.n_rx, cfg.n_tx)
-    out = np.empty(cfg.trials)
+    out = _aligned_empty((cfg.trials,))
     batch = min(_BATCH, cfg.trials)
     block = min(_BLOCK, batch)
 
     def allocate():
         return (
-            np.empty((batch, cfg.n_rx, cfg.n_tx)),
-            np.empty((block, cfg.n_rx, cfg.n_tx)),
-            np.empty((2, pair.n_min, pair.n_max, block)),
+            _aligned_empty((batch, cfg.n_rx, cfg.n_tx)),
+            _aligned_empty((block, cfg.n_rx, cfg.n_tx)),
+            _aligned_empty((2, pair.n_min, pair.n_max, block)),
             *_planar_work(pair.n_min, block),
         )
 

@@ -297,6 +297,80 @@ class TestPsiMatrix:
             eigdist.psi_matrix([1.0], [1.0, 2.0], -1.0)
 
 
+def stack_det(matrices):
+    """The evaluator's determinants of a list of matrices, stacked points
+    innermost."""
+    return eigdist._det_stack(np.stack([np.asarray(a, dtype=float) for a in matrices], axis=-1))
+
+
+class TestStackDeterminant:
+    """The evaluator's pivoted elimination across the points axis."""
+
+    @pytest.mark.parametrize("m", range(1, 7))
+    def test_matches_numpy_det(self, m):
+        # random matrices whose determinant the rounding cannot move by
+        # more than about cond * eps, shuffled among each other
+        a = np.random.default_rng(m).standard_normal((3000, m, m))
+        a = a[np.linalg.cond(a) < 100.0]
+        got = eigdist._det_stack(a.transpose(1, 2, 0).copy())
+        np.testing.assert_allclose(got, np.linalg.det(a), rtol=1e-13, atol=0.0)
+        if m == 1:
+            assert np.array_equal(got, a[:, 0, 0])
+
+    @pytest.mark.parametrize("m", [2, 3, 4])
+    def test_row_swaps_keep_the_sign(self, m):
+        # scaled permutation matrices: a zero leading entry in all but one,
+        # the pivot of each column in every row, odd and even permutations
+        # side by side in one stack, every step exact
+        scale = np.arange(2.0, m + 2.0)
+        perms = list(itertools.permutations(range(m)))
+        matrices = [np.eye(m)[list(p)] * scale for p in perms]
+        signs = [round(np.linalg.det(np.eye(m)[list(p)])) for p in perms]
+        assert sorted(set(signs)) == [-1, 1]
+        assert stack_det(matrices).tolist() == [s * math.prod(scale) for s in signs]
+
+    def test_largest_entry_below_is_swapped_up(self):
+        # [[1, 2], [3, 4]] pivots on 3: l = 1/3 and det = -(3 * (2 - 4/3))
+        got = stack_det([[[1.0, 2.0], [3.0, 4.0]], [[3.0, 4.0], [1.0, 2.0]]])
+        assert got.tolist() == [-(3.0 * (2.0 - 1.0 / 3.0 * 4.0)), 3.0 * (2.0 - 1.0 / 3.0 * 4.0)]
+
+    def test_singular_stack_is_zero_without_warning(self):
+        singular = [
+            [[0.0, 1.0], [0.0, 2.0]],  # a zero first column
+            [[1.0, 0.0, 2.0], [3.0, 0.0, 4.0], [5.0, 0.0, 6.0]],  # a zero middle column
+            [[1.0, 2.0], [1.0, 2.0]],  # equal rows: the last pivot cancels to 0
+            [[1.0, 2.0, 3.0], [2.0, 4.0, 6.0], [1.0, 1.0, 1.0]],  # rank 2
+            np.zeros((3, 3)),
+        ]
+        with np.errstate(all="raise"), warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for a in singular:
+                # alone, and beside a regular matrix that keeps its value
+                assert stack_det([a]).tolist() == [0.0]
+                regular = np.eye(len(a)) * 2.0
+                assert stack_det([a, regular]).tolist() == [0.0, 2.0 ** len(a)]
+
+    @pytest.mark.parametrize("value", [math.inf, -math.inf, math.nan], ids=["inf", "-inf", "nan"])
+    def test_non_finite_entries_give_non_finite_values(self, value):
+        # the value in each position of a regular matrix in turn
+        for m in range(1, 5):
+            base = np.random.default_rng(m).standard_normal((m, m)) + 3.0 * np.eye(m)
+            matrices = []
+            for i, j in itertools.product(range(m), repeat=2):
+                a = base.copy()
+                a[i, j] = value
+                matrices.append(a)
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                got = stack_det(matrices)
+            assert not np.isfinite(got).any(), (m, got)
+
+    @pytest.mark.parametrize("m", range(1, 5))
+    def test_empty_stack(self, m):
+        got = eigdist._det_stack(np.empty((m, m, 0)))
+        assert got.shape == (0,) and got.dtype == np.float64
+
+
 # Square exponential geometries (n, rho on both sides) that double
 # precision cannot support: alpha overflows on the first two and
 # underflows to 0 on the third.

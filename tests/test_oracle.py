@@ -2,7 +2,8 @@
 matrices, and for the array c.d.f. evaluator a 50-digit mpmath evaluation
 of the determinant form (both from ``oracle.py``), the scalar psi-matrix +
 ``linalg.det`` route the evaluator replaced, the (points, m, m) stack
-whose bits the evaluator's in-place stack keeps, and batch independence."""
+whose bits the evaluator's in-place stack keeps, a per-point copy of its
+elimination, and batch independence."""
 
 import math
 
@@ -135,6 +136,34 @@ def reference_psi_stack(minor, major, xs):
     return psi
 
 
+def reference_det(matrix):
+    """Determinant of one matrix by the evaluator's elimination, one point
+    at a time: in each column the first row of largest magnitude is the
+    pivot and is swapped with the top row, a zero pivot leaves its
+    multipliers (the zeros under it) as they are, each row update is
+    entry - multiplier * pivot-row entry, and the result is the signed
+    product of the pivots, left to right."""
+    a = [[float(v) for v in row] for row in matrix]
+    m = len(a)
+    odd = False
+    for k in range(m - 1):
+        pivot = k
+        for i in range(k + 1, m):
+            if abs(a[i][k]) > abs(a[pivot][k]):
+                pivot = i
+        if pivot != k:
+            a[k], a[pivot] = a[pivot], a[k]
+            odd = not odd
+        for i in range(k + 1, m):
+            multiplier = a[i][k] / a[k][k] if a[k][k] != 0.0 else a[i][k]
+            for j in range(k + 1, m):
+                a[i][j] -= multiplier * a[k][j]
+    det = a[0][0]
+    for k in range(1, m):
+        det *= a[k][k]
+    return -det if odd else det
+
+
 def reference_cdf_raw(model, xs):
     n, m = model.n_min, model.n_max
     half_exp = n * (n - 1) // 2
@@ -144,7 +173,7 @@ def reference_cdf_raw(model, xs):
     x_pow = reference_ipow(xs, half_exp)
     value = 0.0
     for s in model.eval_sets:
-        det_psi = np.linalg.det(reference_psi_stack(s.minor, s.major, xs))
+        det_psi = np.array([reference_det(psi) for psi in reference_psi_stack(s.minor, s.major, xs)])
         value = value + s.weight * common * det_psi / (s.vand_minor * s.vand_major * x_pow)
     return value
 
@@ -335,7 +364,8 @@ class TestScalarRoute:
 
 class TestStackLayout:
     """The points-innermost stack, filled in place, against the
-    (points, m, m) stack built from new arrays: the same bits."""
+    (points, m, m) stack built from new arrays, and the raw form against
+    the per-point elimination over that stack: the same bits."""
 
     # gap rows (2x3, 1x4), square (3x3, 4x4), and two evaluation sets
     # each on the tied 2x3 and 4x4 identities
@@ -368,6 +398,15 @@ class TestStackLayout:
         xs = determinant_points(model, 200)
         np.testing.assert_array_equal(bits(eigdist._cdf_raw(model, xs)),
                                       bits(reference_cdf_raw(model, xs)))
+
+    @pytest.mark.parametrize("m", range(1, 6))
+    def test_elimination_keeps_its_bits_on_ties(self, m):
+        # small integers: magnitudes tie in most columns, so only the
+        # first-row pivot rule gives these bits, and singular matrices
+        # (signed zeros included) are common
+        a = np.random.default_rng(m).integers(-3, 4, (m, m, 2000)).astype(float)
+        want = [reference_det(a[:, :, k]) for k in range(a.shape[2])]
+        np.testing.assert_array_equal(bits(eigdist._det_stack(a.copy())), bits(want))
 
 
 class TestBatchIndependence:

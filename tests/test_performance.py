@@ -101,6 +101,54 @@ class TestExactSer:
             ser = performance.exact_ser(model, mod, snrs)
             assert ((0.0 <= ser) & (ser <= 1.0)).all(), ser
 
+    @pytest.mark.xfail(
+        strict=True, raises=AssertionError,
+        reason="blocks of width 1/sqrt(b) are far wider than the c.d.f.'s rise at "
+        "v ~ sqrt(snr), so every node of a panel and of both its halves sees F = 1 and "
+        "bisection accepts: ROADMAP item 4",
+    )
+    def test_small_b_resolves_the_cdf_rise(self):
+        # SISO, b = 1e-8 at 0 dB: exact_ser is 1.0e-4 relative above the
+        # closed form; an integral of the same c.d.f. on panels that
+        # resolve v ~ 1 meets it to 1.5e-11
+        model = model_for(0, 1, 0, 1)
+        mod = performance.Modulation("small-b", 2.0, 1e-8)
+        got = performance.exact_ser(model, mod, 0.0)
+        assert got == pytest.approx(mod.a * siso_bpsk_ser(mod.b), rel=1e-8)
+
+    @pytest.mark.xfail(
+        strict=True, raises=AssertionError,
+        reason="the quadrature integrates SER / (a sqrt(b/pi)), which falls below the "
+        "double range for b = 1e300; substituting v = u/sqrt(b) would keep the "
+        "integral at the SER's own scale: ROADMAP item 4",
+    )
+    def test_large_b_keeps_a_normal_ser(self):
+        # SISO, b = 1e300: the SER is about 2.5e-296 at -50 dB and 2.5e-301
+        # at 0 dB, and exact_ser returns 0.0 at both
+        model = model_for(0, 1, 0, 1)
+        mod = performance.Modulation("large-b", 1.0, 1e300)
+        snrs = np.array([-50.0, 0.0])
+        got = performance.exact_ser(model, mod, snrs)
+        x = mod.b * 10.0 ** (snrs / 10.0)
+        # a/2 (1 - sqrt(x/(1+x))) without the cancellation
+        want = mod.a / 2.0 / ((1.0 + x) * (1.0 + np.sqrt(x / (1.0 + x))))
+        np.testing.assert_allclose(got, want, rtol=1e-8, atol=0.0)
+
+    @pytest.mark.xfail(
+        strict=True, raises=AssertionError,
+        reason="the c.d.f. reports exactly 1 once 1 - F falls to 1e-6 (the upper-tail "
+        "snap, then saturation), which at b*snr = 0.1 lifts the SER by 1.5e-8 relative; "
+        "neither the crossover floor nor the quadrature moves it: ROADMAP item 3",
+    )
+    def test_siso_bpsk_at_minus_10_db(self):
+        # 1.5e-8 relative above the closed form; the same integral with
+        # F = 1 - exp(-x) set to 1 from 1 - F = 1e-6 (x = 13.8155) gives the
+        # same 1.52e-8, with F exact it meets the closed form to 1e-15, and
+        # the crossover (1.5e-18) is too low to matter
+        model = model_for(0, 1, 0, 1)
+        got = performance.exact_ser(model, performance.modulation_preset("bpsk"), -10.0)
+        assert got == pytest.approx(siso_bpsk_ser(0.1), rel=1e-8)
+
     def test_bounded_and_positive_at_high_snr(self):
         model = model_for(0.5, 2, 0.5, 2)
         ser = performance.exact_ser(model, performance.modulation_preset("8psk"), 60.0)
