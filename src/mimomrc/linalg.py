@@ -1,8 +1,8 @@
 """Small dense complex-matrix helpers.
 
-Input coercion, a checked Hermitian eigendecomposition (LAPACK through
-numpy), a determinant and Vandermonde products for the
-handful-of-antennas matrices used by the library. The correlation
+Input coercion, a checked Hermitian eigendecomposition and a checked
+determinant (both LAPACK through numpy), and Vandermonde products for
+the handful-of-antennas matrices used by the library. The correlation
 eigenvalues of the analytic model and of the simulator come from
 ``correlation.correlation_eigenvalues``, not from here. Nothing in the
 library calls :func:`det` or :func:`herm_eig`: they are the tests'
@@ -74,29 +74,10 @@ def herm_eig(a) -> HermitianEig:
 
 
 def det(a) -> complex:
-    """Determinant by pivoted Gaussian elimination; closed form for sizes 1-2."""
+    """Determinant by LAPACK (``numpy.linalg.det``)."""
     m = as_matrix(a)
     _require_square(m, "det")
-    n = m.shape[0]
-    if n == 0:
-        return complex(1.0)
-    if n == 1:
-        return complex(m[0, 0])
-    if n == 2:
-        return complex(m[0, 0] * m[1, 1] - m[0, 1] * m[1, 0])
-    work = m.copy()
-    sign = 1.0
-    for k in range(n - 1):
-        piv = k + int(np.argmax(np.abs(work[k:, k])))
-        if piv != k:
-            work[[k, piv], :] = work[[piv, k], :]
-            sign = -sign
-        pivot = work[k, k]
-        if pivot == 0.0:
-            return complex(0.0)
-        factors = work[k + 1 :, k] / pivot
-        work[k + 1 :, k:] -= np.outer(factors, work[k, k:])
-    return complex(sign * np.prod(np.diag(work)))
+    return complex(np.linalg.det(m))
 
 
 def vandermonde(values) -> float:

@@ -108,9 +108,10 @@ def modulation_preset(name: str) -> Modulation:
 
 def _cdf_argument(snr: np.ndarray, gbar: np.ndarray) -> np.ndarray:
     """snr / gbar, an output SNR over the average, as a c.d.f. argument: a
-    quotient past the double range reads as the largest double, where
-    the c.d.f. is 1, rather than as an overflow."""
-    with np.errstate(over="ignore"):
+    quotient past the double range, or over a gbar of 0, reads as the
+    largest double, where the c.d.f. is 1, rather than as an overflow or
+    a division by zero."""
+    with np.errstate(over="ignore", divide="ignore"):
         return np.minimum(snr / gbar, sys.float_info.max)
 
 
@@ -201,39 +202,35 @@ def _adaptive(f, lo, hi, whole, tol, floor, noise_rate, depth, *args) -> np.ndar
     return values
 
 
-def _size_blocks(f, b: float, gbar: np.ndarray):
-    """Single-panel estimates of the first blocks of f(v, gbar), for each
-    gbar of a 1-D array, and how many blocks its truncation rule counts.
+def _size_blocks(f, bg: np.ndarray):
+    """Single-panel estimates of the first unit blocks of f(u, bg), for
+    each bg of a 1-D array, and how many blocks its truncation rule counts.
 
-    Block j (from 0) is [j w, (j + 1) w], w = 1/sqrt(b), and f decays at
-    least like exp(-b v^2). The rule counts the first k blocks once the
-    Gaussian tail past k w, at most exp(-k^2) max(1, w/(2k)), is at most
-    1e-16 of the running sum of their panels (both 0 where f underflows).
-    exp(-k^2) underflows to 0 at k = 28, so for any b the rule fires by
-    block 28, inside the ``_SIZING_PANELS`` panels.
+    Block k (from 0) is [k, k + 1], and f decays at least like exp(-u^2).
+    The rule counts the first k blocks once the Gaussian tail past k, at
+    most exp(-k^2)/(2k), is at most 1e-16 of the running sum of their
+    panels (both 0 where f underflows). exp(-k^2) underflows to 0 at
+    k = 28, so for any input the rule fires by block 28, inside the
+    ``_SIZING_PANELS`` panels.
 
-    Each round evaluates the next ``_SIZING_ROUND`` panels of every gbar
+    Each round evaluates the next ``_SIZING_ROUND`` panels of every bg
     whose rule has not fired, in one evaluator call, up to
-    ``_SIZING_PANELS`` panels; a gbar's panels of a round are one
-    (_SIZING_ROUND, 31) slice, as in a call for that gbar alone. Returns
-    the panels (row i for ``gbar[i]``, zero past the ones evaluated) and
-    each gbar's block count.
+    ``_SIZING_PANELS`` panels; a bg's panels of a round are one
+    (_SIZING_ROUND, 31) slice, as in a call for that bg alone. Returns
+    the panels (row i for ``bg[i]``, zero past the ones evaluated) and
+    each bg's block count.
     """
-    width = 1.0 / math.sqrt(b)
-    wholes = np.zeros((len(gbar), _SIZING_PANELS))
-    counts = np.full(len(gbar), _SIZING_PANELS)
-    pending = np.arange(len(gbar))
+    wholes = np.zeros((len(bg), _SIZING_PANELS))
+    counts = np.full(len(bg), _SIZING_PANELS)
+    pending = np.arange(len(bg))
     for start in range(0, _SIZING_PANELS, _SIZING_ROUND):
         if not pending.size:
             break
         end = start + _SIZING_ROUND
-        lo = width * np.arange(start, end)
-        wholes[pending, start:end] = _gl_panel(f, lo, lo + width, gbar[pending, None])
-        running = np.cumsum(wholes[pending, :end], axis=1)[:, start:]
         ks = np.arange(start + 1, end + 1)
-        ends = width * ks
-        tails = np.exp(-b * ends * ends) * np.maximum(1.0, 0.5 * width / ks)
-        stops = tails <= 1e-16 * running
+        wholes[pending, start:end] = _gl_panel(f, ks - 1, ks, bg[pending, None])
+        running = np.cumsum(wholes[pending, :end], axis=1)[:, start:]
+        stops = np.exp(-ks * ks) / (2 * ks) <= 1e-16 * running
         fired = stops.any(axis=1)
         counts[pending[fired]] = start + 1 + stops[fired].argmax(axis=1)
         pending = pending[~fired]
@@ -245,9 +242,10 @@ def exact_ser(model: EigDistModel, mod: Modulation, snr_db) -> float | np.ndarra
 
     The defining average of a*Q(sqrt(2*b*snr)) over the fading SNR is
     evaluated in its integrated-by-parts form over the output-SNR c.d.f.;
-    substituting u = v^2 removes the endpoint singularity, leaving
-    (a sqrt(b) / sqrt(pi)) * int_0^inf exp(-b v^2) F(v^2 / snr) dv with a
-    smooth Gaussian-tailed integrand.
+    substituting b snr x = u^2 removes the endpoint singularity, leaving
+    (a / sqrt(pi)) * int_0^inf exp(-u^2) F(u^2 / (b snr)) du with a smooth
+    Gaussian-tailed integrand at the SER's own scale, in which b enters
+    only through b snr.
 
     ``snr_db`` is a number, answered with a float, or an array (or list)
     of SNRs, answered with an array of its shape. The quadratures of all
@@ -256,8 +254,8 @@ def exact_ser(model: EigDistModel, mod: Modulation, snr_db) -> float | np.ndarra
     call at that SNR alone returns. An SNR refused anywhere (see the
     module docstring) raises ``ValidationError`` before any evaluation.
     The truncation rule is applied once, to single panels over each SNR's
-    leading blocks (see :func:`_size_blocks`): it counts at most 28 blocks
-    for any ``mod.b``, their panels size the SNR's tolerance, and the
+    leading unit blocks (see :func:`_size_blocks`): it counts at most 28
+    blocks for any input, their panels size the SNR's tolerance, and the
     counted blocks of every SNR are then bisected together and each SNR's
     summed in block order.
 
@@ -272,36 +270,39 @@ def exact_ser(model: EigDistModel, mod: Modulation, snr_db) -> float | np.ndarra
     independent table in ``tests/data/oracle.json``, 2x3 rho .5/.5 8PSK is
     off by +6.3e-5 at 5 dB, +54% at 20 dB and +10.7% at 30 dB, 3x3
     rho .9/.9 8PSK by +319% at 20 dB, and 4x4 identity QPSK is 17.9 times
-    the true SER at 10 dB. Where the c.d.f.'s rounding noise exceeds the
-    noise floor, bisection cannot converge and ``QuadratureError`` is
-    raised (see :func:`_adaptive`).
+    the true SER at 10 dB. On SISO, BPSK at -10 dB is 1.5e-8 relative
+    high (the c.d.f. reports 1 once 1 - F falls to 1e-6), and a custom b
+    with b snr between about 1e-16 and 1e-8 is up to 1e-4 high (the
+    c.d.f. rises near u = sqrt(b snr), below block 0's first node, u =
+    1.5e-3). Where the c.d.f.'s rounding noise exceeds the noise floor,
+    bisection cannot converge and ``QuadratureError`` is raised (see
+    :func:`_adaptive`).
     """
     gbars = checked_points(snr_db, "SNR", db=True)
-    gbar = gbars.ravel()
-    scale = mod.a * math.sqrt(mod.b) / math.sqrt(math.pi)
+    with np.errstate(over="ignore"):
+        bg = mod.b * gbars.ravel()  # inf past the double range, where F is 0
+    scale = mod.a / math.sqrt(math.pi)
 
-    def integrand(v: np.ndarray, g: np.ndarray) -> np.ndarray:
-        return np.exp(-mod.b * v * v) * cdf(model, _cdf_argument(v * v, g))
+    def integrand(u: np.ndarray, g: np.ndarray) -> np.ndarray:
+        return np.exp(-u * u) * cdf(model, _cdf_argument(u * u, g))
 
-    # Single panels over the first blocks, as many as each SNR's truncation
-    # rule counts (at most 28), size the tolerance (abs 1e-12 / rel 1e-8 on
-    # the SER, whichever is looser); the Gaussian tail past them is at most
-    # 1e-16 of their sum. They are also the blocks' starting estimates:
-    # every SNR's counted blocks are bisected together, and each SNR's
-    # refined blocks are summed in block order.
-    wholes, counts = _size_blocks(integrand, mod.b, gbar)
+    # Single panels over the first unit blocks, as many as each SNR's
+    # truncation rule counts (at most 28), size the tolerance (abs 1e-12 /
+    # rel 1e-8 on the SER, whichever is looser); the Gaussian tail past
+    # them is at most 1e-16 of their sum. They are also the blocks'
+    # starting estimates: every SNR's counted blocks are bisected together,
+    # and each SNR's refined blocks are summed in block order.
+    wholes, counts = _size_blocks(integrand, bg)
     rough = np.sum(wholes, axis=1)
     tol = np.maximum(_SER_ABS_TOL, _SER_REL_TOL * scale * np.abs(rough)) / scale
     floor = 1e-15 * np.maximum(np.abs(rough), 1e-300)
     owner, ks = np.nonzero(np.arange(_SIZING_PANELS) < counts[:, None])
-    width = 1.0 / math.sqrt(mod.b)
-    lo = ks * width
     values = _adaptive(
-        integrand, lo, lo + width, wholes[owner, ks],
+        integrand, ks, ks + 1, wholes[owner, ks],
         np.ldexp(tol[owner], -(ks + 2)) + 1e-300, floor[owner], model.noise_floor,
-        _MAX_BISECTIONS, gbar[owner],
+        _MAX_BISECTIONS, bg[owner],
     )
-    value = scale * np.bincount(owner, values, len(gbar))
+    value = scale * np.bincount(owner, values, len(bg))
     ser = np.minimum(1.0, np.maximum(0.0, value)).reshape(gbars.shape)
     return ser if ser.ndim else float(ser)
 

@@ -1,9 +1,10 @@
 """Independent references: 50-digit mpmath eigenvalues of the correlation
 matrices, and for the array c.d.f. evaluator a 50-digit mpmath evaluation
-of the determinant form (both from ``oracle.py``), the scalar psi-matrix +
-``linalg.det`` route the evaluator replaced, the (points, m, m) stack
-whose bits the evaluator's in-place stack keeps, a per-point copy of its
-elimination, and batch independence."""
+of the determinant form (both from ``oracle.py``), the scalar psi-matrix
+route with LAPACK's determinant (``linalg.det``), an algorithm apart from
+the evaluator's elimination, the (points, m, m) stack whose bits the
+evaluator's in-place stack keeps, a per-point copy of its elimination, and
+batch independence."""
 
 import math
 

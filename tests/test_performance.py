@@ -74,15 +74,19 @@ class TestExactSer:
             assert got.tobytes() == want.tobytes()
 
     def test_siso_closed_form(self):
-        # a/2 (1 - sqrt(b snr / (1 + b snr))); b = 1e-40 makes blocks of
-        # width w = 1/sqrt(b) = 1e20, and the Gaussian tail past k of them
-        # about exp(-k^2) w/(2k), far above exp(-k^2)
+        # a/2 (1 - sqrt(b snr / (1 + b snr))), also where b snr leaves the
+        # double range, with no RuntimeWarning (the suite makes them errors):
+        # 1e-330 underflows to 0, where the c.d.f. is 1 and the SER a/2, and
+        # 1e600 overflows to inf, where the c.d.f. is 0 and the SER 0 (the
+        # closed form cancels to NaN there)
         model = model_for(0, 1, 0, 1)
-        for mod, snr_db in ((performance.modulation_preset("bpsk"), 10.0),
-                            (performance.Modulation("tiny-b", 2.0, 1e-40), 0.0)):
+        for mod, snr_db, want in (
+                (performance.modulation_preset("bpsk"), 10.0, siso_bpsk_ser(10.0)),
+                (performance.Modulation("tiny-b", 2.0, 1e-40), 0.0, 2.0 * siso_bpsk_ser(1e-40)),
+                (performance.Modulation("b-snr-underflows", 2.0, 1e-30), -3000.0, 1.0),
+                (performance.Modulation("b-snr-overflows", 2.0, 1e300), 3000.0, 0.0)):
             got = performance.exact_ser(model, mod, snr_db)
-            want = mod.a * siso_bpsk_ser(mod.b * 10.0 ** (snr_db / 10.0))
-            assert got == pytest.approx(want, rel=1e-10), mod
+            assert got == pytest.approx(want, rel=1e-10, abs=0.0), mod
 
     @pytest.mark.parametrize("b", [1e-300, 1e-40, 0.146, 1.0, 1e300])
     def test_truncation_rule_fires_by_block_28(self, b):
@@ -91,40 +95,36 @@ class TestExactSer:
         # counts are all exact_ser integrates
         mod = performance.Modulation("x", 2.0, b)
         snrs = np.array([-3000.0, -50.0, 0.0, 50.0, 300.0, 3000.0])
+        with np.errstate(over="ignore"):
+            bg = b * 10.0 ** (snrs / 10.0)
         for model in (model_for(0, 1, 0, 1), model_for(0.5, 2, 0.5, 3)):
 
-            def integrand(v, g):
-                return np.exp(-b * v * v) * eigdist.cdf(model, performance._cdf_argument(v * v, g))
+            def integrand(u, g):
+                return np.exp(-u * u) * eigdist.cdf(model, performance._cdf_argument(u * u, g))
 
-            _, counts = performance._size_blocks(integrand, b, 10.0 ** (snrs / 10.0))
+            _, counts = performance._size_blocks(integrand, bg)
             assert ((1 <= counts) & (counts <= 28)).all(), counts
             ser = performance.exact_ser(model, mod, snrs)
             assert ((0.0 <= ser) & (ser <= 1.0)).all(), ser
 
     @pytest.mark.xfail(
         strict=True, raises=AssertionError,
-        reason="blocks of width 1/sqrt(b) are far wider than the c.d.f.'s rise at "
-        "v ~ sqrt(snr), so every node of a panel and of both its halves sees F = 1 and "
+        reason="the c.d.f. rises near u ~ sqrt(b snr), below block 0's first node "
+        "(u ~ 1.5e-3), so every node of a panel and of both its halves sees F = 1 and "
         "bisection accepts: ROADMAP item 4",
     )
     def test_small_b_resolves_the_cdf_rise(self):
         # SISO, b = 1e-8 at 0 dB: exact_ser is 1.0e-4 relative above the
         # closed form; an integral of the same c.d.f. on panels that
-        # resolve v ~ 1 meets it to 1.5e-11
+        # resolve u ~ 1e-4 meets it to 1.5e-11
         model = model_for(0, 1, 0, 1)
         mod = performance.Modulation("small-b", 2.0, 1e-8)
         got = performance.exact_ser(model, mod, 0.0)
         assert got == pytest.approx(mod.a * siso_bpsk_ser(mod.b), rel=1e-8)
 
-    @pytest.mark.xfail(
-        strict=True, raises=AssertionError,
-        reason="the quadrature integrates SER / (a sqrt(b/pi)), which falls below the "
-        "double range for b = 1e300; substituting v = u/sqrt(b) would keep the "
-        "integral at the SER's own scale: ROADMAP item 4",
-    )
     def test_large_b_keeps_a_normal_ser(self):
         # SISO, b = 1e300: the SER is about 2.5e-296 at -50 dB and 2.5e-301
-        # at 0 dB, and exact_ser returns 0.0 at both
+        # at 0 dB, and the integral in u is at the SER's own scale
         model = model_for(0, 1, 0, 1)
         mod = performance.Modulation("large-b", 1.0, 1e300)
         snrs = np.array([-50.0, 0.0])
