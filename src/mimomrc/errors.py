@@ -20,8 +20,10 @@ class QuadratureError(NumericalError):
     """Quadrature failed to meet tolerance; carries the best estimate found.
 
     Attributes:
-        estimate: value of the integral at the point of failure.
-        error_bound: estimated absolute error of ``estimate``.
+        estimate: value of the integral at the point of failure; from
+            ``exact_ser``, the SER of the first SNR refused.
+        error_bound: estimated absolute error of ``estimate``, from the
+            intervals still open.
     """
 
     def __init__(self, message: str, estimate: float, error_bound: float):

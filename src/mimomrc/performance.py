@@ -115,48 +115,43 @@ def _cdf_argument(snr: np.ndarray, gbar: np.ndarray) -> np.ndarray:
         return np.minimum(snr / gbar, sys.float_info.max)
 
 
-def _gl_panel(f, lo, hi, *args):
-    """31-point Gauss-Legendre estimate over each panel [lo, hi].
+def _gl_panel(f, lo, width, bg):
+    """31-point Gauss-Legendre estimate over each panel [lo, lo + width].
 
-    ``lo`` and ``hi`` are scalars or arrays of one shape; f takes the
-    array of every panel's nodes at once, followed by ``args`` (arrays
-    that broadcast against ``lo``, one value per panel), and returns
-    values of the nodes' shape.
+    ``lo`` is an array of panel starts and ``width`` a number; f takes the
+    array of every panel's nodes at once, followed by ``bg`` (one value per
+    panel, broadcasting against ``lo``), and returns values of the nodes'
+    shape.
     """
-    lo = np.asarray(lo, dtype=float)
-    hi = np.asarray(hi, dtype=float)
-    mid = 0.5 * (lo + hi)
-    half = 0.5 * (hi - lo)
-    nodes = mid[..., None] + half[..., None] * _GL_NODES
-    return half * (f(nodes, *(a[..., None] for a in args)) @ _GL_WEIGHTS)
+    half = 0.5 * width
+    nodes = (lo + half)[..., None] + half * _GL_NODES
+    return half * (f(nodes, bg[..., None]) @ _GL_WEIGHTS)
 
 
-def _adaptive(f, lo, hi, whole, tol, floor, noise_rate, depth, *args) -> np.ndarray:
-    """Adaptive bisection of every interval [lo_i, hi_i] (1-D arrays or
-    scalars), given the single-panel estimate ``whole`` of each.
+def _adaptive(f, lo, whole, tol, floor, noise_rate, bg, owner) -> np.ndarray:
+    """Adaptive bisection of the unit blocks [lo_i, lo_i + 1], given the
+    single-panel estimate ``whole`` of each; returns each block's value.
 
-    ``floor`` and ``args`` (passed on to f, see :func:`_gl_panel`) hold
-    one value per interval, like ``tol``, and go with each half on a
-    split. A whole bisection level (both halves of every open interval)
-    goes to f in one call. Each interval's value is summed in the order
-    the depth-first recursion would sum it; the first interval (left to
-    right) still open after ``depth`` levels raises ``QuadratureError``, as
-    does a starting interval with more than ``_MAX_FANOUT`` descendants at
-    one level, the sign of an integrand whose noise no split can shrink.
+    ``tol``, ``floor`` and ``bg`` (passed on to f, see :func:`_gl_panel`)
+    hold one value per block, and block i is a part of integral
+    ``owner[i]``. Every open interval at bisection level d has width 2^-d
+    and tolerance 2^-d of its block's ``tol``; both halves of every open
+    interval go to f in one call. A block's value is the sum of its
+    accepted halves, added level by level, left to right within a level.
+    An interval still open after ``_MAX_BISECTIONS`` levels raises
+    ``QuadratureError``, as does a block with more than ``_MAX_FANOUT``
+    open intervals at one level, the sign of an integrand whose noise no
+    split can shrink. The error names the first such block's first open
+    interval, or the span of its open intervals, and reports its integral:
+    the ``estimate`` sums the accepted and open halves of all the
+    integral's blocks, the ``error_bound`` the open halves' errors.
     """
-    lo, hi, whole, tol, floor, *args = np.broadcast_arrays(
-        *(np.atleast_1d(np.asarray(a, dtype=float)) for a in (lo, hi, whole, tol, floor, *args))
-    )
-    # each interval's starting interval, and the accepted value of each
-    origin = np.arange(lo.size)
-    banked = np.zeros(lo.size)
-    levels = []
-    while True:
-        mid = 0.5 * (lo + hi)
-        halves = _gl_panel(
-            f, np.stack([lo, mid], axis=-1), np.stack([mid, hi], axis=-1),
-            *(a[:, None] for a in args),
-        )
+    total = np.zeros(len(lo))
+    block = np.arange(len(lo))
+    for level in range(_MAX_BISECTIONS + 1):
+        width = 0.5 ** level
+        starts = np.stack([lo, lo + width / 2], axis=-1)
+        halves = _gl_panel(f, starts, width / 2, bg[block, None])
         sums = halves[:, 0] + halves[:, 1]
         err = np.abs(sums - whole)
         # Two extra acceptance paths beyond the split tolerance: a floor that
@@ -166,40 +161,30 @@ def _adaptive(f, lo, hi, whole, tol, floor, noise_rate, depth, *args) -> np.ndar
         # tolerance shrink at the same rate), and a width-proportional budget
         # matching the integrand's own noise floor (the tied-eigenvalue
         # guard's wobble cannot be refined away).
-        done = (err <= tol) | (err <= floor) | (err <= noise_rate * (hi - lo))
-        levels.append((done, sums))
+        done = (err <= tol[block] * width) | (err <= floor[block]) | (err <= noise_rate * width)
+        total += np.bincount(block[done], sums[done], len(total))
         if done.all():
-            break
-        if depth <= 0:
-            i = np.flatnonzero(~done)[0]
-            raise QuadratureError(
-                f"quadrature failed to reach tolerance {tol[i]:.3e} on [{lo[i]:g}, {hi[i]:g}]",
-                estimate=float(sums[i]),
-                error_bound=float(err[i]),
-            )
-        depth -= 1
+            return total
         split = ~done
-        banked += np.bincount(origin[done], sums[done], banked.size)
-        fanout = 2 * np.bincount(origin[split], minlength=banked.size)
-        if fanout.max() > _MAX_FANOUT:
-            o = np.flatnonzero(fanout > _MAX_FANOUT)[0]
-            mine = split & (origin == o)
+        fanout = 2 * np.bincount(block[split], minlength=len(total))
+        failing = fanout > (0 if level == _MAX_BISECTIONS else _MAX_FANOUT)
+        if failing.any():
+            o = failing.argmax()
+            opened = lo[split & (block == o)]
+            if level == _MAX_BISECTIONS:
+                message = (f"quadrature failed to reach tolerance {tol[o] * width:.3e} on "
+                           f"[{opened[0]:.17g}, {opened[0] + width:.17g}]")
+            else:
+                message = (f"quadrature failed to converge: more than {_MAX_FANOUT} intervals "
+                           f"of one block, on [{opened[0]:g}, {opened[-1] + width:g}]")
+            mine = split & (owner[block] == owner[o])
             raise QuadratureError(
-                f"quadrature failed to converge: more than {_MAX_FANOUT} intervals "
-                f"of one block, on [{lo[mine][0]:g}, {hi[mine][-1]:g}]",
-                estimate=float(banked[o] + sums[mine].sum()),
+                message, estimate=float(total[owner == owner[o]].sum() + sums[mine].sum()),
                 error_bound=float(err[mine].sum()),
             )
-        lo = np.stack([lo[split], mid[split]], axis=-1).ravel()
-        hi = np.stack([mid[split], hi[split]], axis=-1).ravel()
+        lo = starts[split].ravel()
         whole = halves[split].ravel()
-        tol = np.repeat(0.5 * tol[split], 2)
-        floor, origin, *args = (np.repeat(a[split], 2) for a in (floor, origin, *args))
-    values = levels[-1][1]
-    for done, sums in reversed(levels[:-1]):
-        values, children = sums.copy(), values
-        values[~done] = children[0::2] + children[1::2]
-    return values
+        block = np.repeat(block[split], 2)
 
 
 def _size_blocks(f, bg: np.ndarray):
@@ -228,7 +213,7 @@ def _size_blocks(f, bg: np.ndarray):
             break
         end = start + _SIZING_ROUND
         ks = np.arange(start + 1, end + 1)
-        wholes[pending, start:end] = _gl_panel(f, ks - 1, ks, bg[pending, None])
+        wholes[pending, start:end] = _gl_panel(f, ks - 1, 1.0, bg[pending, None])
         running = np.cumsum(wholes[pending, :end], axis=1)[:, start:]
         stops = np.exp(-ks * ks) / (2 * ks) <= 1e-16 * running
         fired = stops.any(axis=1)
@@ -256,8 +241,9 @@ def exact_ser(model: EigDistModel, mod: Modulation, snr_db) -> float | np.ndarra
     The truncation rule is applied once, to single panels over each SNR's
     leading unit blocks (see :func:`_size_blocks`): it counts at most 28
     blocks for any input, their panels size the SNR's tolerance, and the
-    counted blocks of every SNR are then bisected together and each SNR's
-    summed in block order.
+    counted blocks of every SNR are then bisected together: each block's
+    accepted halves are summed level by level, and each SNR's blocks in
+    block order (see :func:`_adaptive`).
 
     The quadrature's tolerance is absolute 1e-12 or relative 1e-8,
     whichever is looser, for models with distinct correlation eigenvalues;
@@ -276,7 +262,9 @@ def exact_ser(model: EigDistModel, mod: Modulation, snr_db) -> float | np.ndarra
     c.d.f. rises near u = sqrt(b snr), below block 0's first node, u =
     1.5e-3). Where the c.d.f.'s rounding noise exceeds the noise floor,
     bisection cannot converge and ``QuadratureError`` is raised (see
-    :func:`_adaptive`).
+    :func:`_adaptive`), for the first SNR refused: its ``estimate`` is that
+    SNR's SER from the accepted and open halves of all its blocks, and its
+    ``error_bound`` the open halves' errors, summed and scaled alike.
     """
     gbars = checked_points(snr_db, "SNR", db=True)
     with np.errstate(over="ignore"):
@@ -297,11 +285,12 @@ def exact_ser(model: EigDistModel, mod: Modulation, snr_db) -> float | np.ndarra
     tol = np.maximum(_SER_ABS_TOL, _SER_REL_TOL * scale * np.abs(rough)) / scale
     floor = 1e-15 * np.maximum(np.abs(rough), 1e-300)
     owner, ks = np.nonzero(np.arange(_SIZING_PANELS) < counts[:, None])
-    values = _adaptive(
-        integrand, ks, ks + 1, wholes[owner, ks],
-        np.ldexp(tol[owner], -(ks + 2)) + 1e-300, floor[owner], model.noise_floor,
-        _MAX_BISECTIONS, bg[owner],
-    )
+    try:
+        values = _adaptive(integrand, ks, wholes[owner, ks],
+                           np.ldexp(tol[owner], -(ks + 2)) + 1e-300,
+                           floor[owner], model.noise_floor, bg[owner], owner)
+    except QuadratureError as exc:  # the integral, as the SNR's SER
+        raise QuadratureError(str(exc), scale * exc.estimate, scale * exc.error_bound) from None
     value = scale * np.bincount(owner, values, len(bg))
     ser = np.minimum(1.0, np.maximum(0.0, value)).reshape(gbars.shape)
     return ser if ser.ndim else float(ser)

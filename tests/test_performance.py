@@ -4,6 +4,7 @@ correlation penalties, Monte-Carlo agreement."""
 import itertools
 import math
 import os
+import re
 import resource
 import subprocess
 import sys
@@ -235,22 +236,22 @@ class TestSerSweep:
         assert len(model_for(*self.CASES[1][0]).eval_sets) == 2
 
     def test_evaluator_points_per_sweep(self, monkeypatch):
-        # Each SNR sizes its tolerance from the blocks its stop rule needs:
-        # 85,746 and 15,252 points, where single panels over 32 blocks for
-        # every SNR took 113,770 and 24,924. The 4x4 sweep has SNRs sized
-        # in one round and in two, which the bit-for-bit test above covers.
-        points = []
+        # Each SNR sizes its tolerance from the blocks its stop rule needs,
+        # and the bisection's acceptance decisions fix every later call: the
+        # exact calls and points pin both. The 4x4 sweep has SNRs sized in
+        # one round and in two, which the bit-for-bit test above covers.
+        calls = []
 
         def counting_cdf(model, x):
-            points.append(np.size(x))
+            calls.append(np.size(x))
             return eigdist.cdf(model, x)
 
         monkeypatch.setattr(performance, "cdf", counting_cdf)
-        for (args, mod, snrs), bound in zip(self.CASES, (90_000, 16_000)):
-            model = model_for(*args)
-            points.clear()
-            performance.exact_ser(model, performance.modulation_preset(mod), snrs)
-            assert sum(points) < bound, (args, sum(points))
+        cases = [*self.CASES[:2], ((0.5, 2, 0.5, 2), "8psk", [0.0, 10.0, 20.0, 30.0])]
+        for (args, mod, snrs), want in zip(cases, ((21, 85_250), (3, 15_190), (17, 8_804))):
+            calls.clear()
+            performance.exact_ser(model_for(*args), performance.modulation_preset(mod), snrs)
+            assert (len(calls), sum(calls)) == want, args
 
     def test_shapes(self):
         model = model_for(0.5, 2, 0.5, 2)
@@ -402,17 +403,23 @@ class TestAsymptoteEval:
 
 
 class TestQuadratureFailure:
-    def test_error_carries_estimate_and_bound(self):
-        # an oscillation far beyond any refinement budget
-        f = lambda v: np.sin(1e9 * v)
+    def test_error_carries_estimate_and_bound(self, monkeypatch):
+        # 2x3 rho .5/.5 8PSK: 5 dB converges within 3 bisections, 20 dB does
+        # not; the refusal reports 20 dB's SER, and the first interval still
+        # open, which has the last level's width and lies inside one block
+        model = model_for(0.5, 2, 0.5, 3)
+        mod = performance.modulation_preset("8psk")
+        want = performance.exact_ser(model, mod, 20.0)
+        monkeypatch.setattr(performance, "_MAX_BISECTIONS", 3)
+        assert performance.exact_ser(model, mod, 5.0) > 0.0
         with pytest.raises(performance.QuadratureError) as excinfo:
-            performance._adaptive(
-                f, 0.0, 1.0, performance._gl_panel(f, 0.0, 1.0),
-                tol=1e-300, floor=0.0, noise_rate=0.0, depth=3,
-            )
+            performance.exact_ser(model, mod, [5.0, 20.0])
         err = excinfo.value
-        assert math.isfinite(err.estimate)
-        assert err.error_bound > 0.0
+        lo, hi = map(float, re.search(r"on \[(.+), (.+)\]$", str(err)).groups())
+        assert hi - lo == 2.0**-3
+        assert math.floor(lo) <= lo < hi <= math.floor(lo) + 1.0
+        assert err.estimate == pytest.approx(want, rel=1e-4)
+        assert 0.0 < err.error_bound < 1e-3 * want
 
 
 # A quadrature that does not converge must fail with a typed error, not take
@@ -462,11 +469,15 @@ class TestRunawayBisection:
 
     def test_noisy_integrand_refused(self):
         # rho_tx 0.9: before the bound, MemoryError after 100 s under a
-        # 2.5 GB cap
+        # 2.5 GB cap. The estimate is the refused SNR's SER (the accepted
+        # and open halves of all its blocks, scaled by a / sqrt(pi)).
         kind, estimate, bound = capped_ser(0.9, -5.0)
         assert kind == "QuadratureError"
-        assert 0.0 < float(estimate) < 1.0
         assert 0.0 < float(bound) < math.inf
+        cfg = montecarlo.McConfig(n_rx=2, n_tx=4, rho_rx=0.0, rho_tx=0.9,
+                                  trials=400_000, seed=31)
+        mc = montecarlo.mc_ser(cfg, performance.modulation_preset("8psk"), -5.0)
+        assert abs(float(estimate) - mc.estimate) <= 4.0 * mc.std_error + float(bound)
 
     def test_cli_exits_with_numerical_error(self):
         result = run_capped(
