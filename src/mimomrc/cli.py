@@ -7,10 +7,10 @@ which checks them; the model is built from its correlation pair, and
 ``error: ...`` line naming the config field (``n_rx`` for ``--nr``,
 ``rx_corr`` for ``--corr-rx-file``, and so on).
 
-Exit status: 0 on success, 2 on flag validation problems and on a file
-that cannot be read or written, 1 on numerical failure. CSV output uses
-a header row, comma delimiters, LF line endings and 17-significant-digit
-values.
+Exit status: 0 on success, 2 on flag validation problems, on a file
+that cannot be read or written and on a sweep or trial count too large
+to allocate, 1 on numerical failure. CSV output uses a header row, comma
+delimiters, LF line endings and 17-significant-digit values.
 """
 
 from __future__ import annotations
@@ -40,7 +40,11 @@ def _parse_sweep(text: str) -> np.ndarray:
         raise argparse.ArgumentTypeError("sweep start must be below stop")
     if points < 2:
         raise argparse.ArgumentTypeError("sweep needs at least 2 points")
-    return np.linspace(start, stop, points)
+    try:
+        return np.linspace(start, stop, points)
+    except MemoryError:
+        raise argparse.ArgumentTypeError(
+            f"sweep of {points} points is too large to allocate") from None
 
 
 def _add_common(parser: argparse.ArgumentParser, modulation: bool) -> None:
@@ -234,6 +238,9 @@ def main(argv=None) -> int:
         return _COMMANDS[args.command](args, cfg, eigdist.build_model(montecarlo.to_pair(cfg)))
     except (ValidationError, OSError) as exc:  # a bad flag, or a file it cannot use
         print(f"error: {exc}", file=sys.stderr)
+        return 2
+    except MemoryError as exc:  # a trial count too large to allocate
+        print(f"error: out of memory: {exc}", file=sys.stderr)
         return 2
     except NumericalError as exc:
         print(f"numerical error: {exc}", file=sys.stderr)

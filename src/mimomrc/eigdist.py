@@ -27,7 +27,7 @@ from __future__ import annotations
 import functools
 import math
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -243,18 +243,16 @@ def build_model(pair: CorrelationPair) -> EigDistModel:
             "use the Monte-Carlo simulator for this geometry or perturb the matrices"
         )
 
-    if not degenerate:
-        sets = (_eval_set(pair.minor_eigs.astype(float), pair.major_eigs.astype(float), 1.0),)
-    else:
+    # (spread width, weight) per evaluation set: untied lists, whose
+    # clusters all have one member, are spread by nothing; tied ones at two
+    # widths, Richardson-combined to cancel the O(delta^2) bias of each.
+    widths = ((0.0, 1.0),)
+    if degenerate:
         delta = _pick_delta(order)
-        sets = []
-        # Two spread widths, Richardson-combined to cancel the O(delta^2)
-        # bias of each single evaluation.
-        for d, w in ((delta / 2.0, 4.0 / 3.0), (delta, -1.0 / 3.0)):
-            minor = _spread_clusters(np.asarray(pair.minor_eigs, dtype=float), minor_clusters, d)
-            major = _spread_clusters(np.asarray(pair.major_eigs, dtype=float), major_clusters, d)
-            sets.append(_eval_set(minor, major, w))
-        sets = tuple(sets)
+        widths = ((delta / 2.0, 4.0 / 3.0), (delta, -1.0 / 3.0))
+    sets = tuple(_eval_set(_spread_clusters(pair.minor_eigs, minor_clusters, d),
+                           _spread_clusters(pair.major_eigs, major_clusters, d), w)
+                 for d, w in widths)
 
     model = EigDistModel(
         pair=pair,
@@ -268,9 +266,8 @@ def build_model(pair: CorrelationPair) -> EigDistModel:
         noise_floor=_noise_floor(order),
         eval_sets=sets,
     )
-    object.__setattr__(model, "crossover", _find_crossover(model))
-    object.__setattr__(model, "saturation", _find_saturation(model))
-    return model
+    # neither scan reads the regime bounds of the model it is given
+    return replace(model, crossover=_find_crossover(model), saturation=_find_saturation(model))
 
 
 def _ipow(x, k: int):
@@ -476,11 +473,10 @@ def _find_crossover(model: EigDistModel) -> float:
 
     The whole scan grid is evaluated in one call.
     """
-    mn = model.n_min * model.n_max
     x_top = _scan_top(model)
     steps = int(math.ceil(_SCAN_DECADES / -math.log10(_SCAN_STEP)))
     grid = _geometric(x_top, _SCAN_STEP, steps + 1)
-    lead = model.alpha * _ipow(grid, mn)
+    lead = _leading(model, grid)
     # lead underflows to 0 at the bottom of the scan for large mn; the
     # NaN ratios there are never hits. A determinant that overflows is
     # left to the saturation scan, which refuses the model.
@@ -542,42 +538,35 @@ def _find_saturation(model: EigDistModel) -> float:
 _EVAL_BLOCK = 4096
 
 
-def _determinant_cdf(model: EigDistModel, xs: np.ndarray) -> np.ndarray:
-    """Determinant form at every x > 0 of a 1-D array, clamped to [0, 1]
-    and snapped to 1 near the top.
-
-    Between crossover and saturation, an excursion out of [0, 1] beyond the
-    usability envelope verified when the model was built (wider for
-    tied-eigenvalue guard noise) raises ``NumericalError``.
-    """
-    raw = _cdf_raw(model, xs)
-    excess = np.maximum(raw - 1.0, -raw)
-    for i in np.flatnonzero(~(excess <= _range_slack(model))):
-        if model.crossover <= xs[i] <= model.saturation:
-            raise NumericalError(f"determinant form out of range by {excess[i]:.3e} "
-                                 f"at x={float(xs[i])!r}")
-    np.clip(raw, 0.0, 1.0, out=raw)
-    raw[raw >= 1.0 - _ONE_SNAP] = 1.0
-    return raw
+def _leading(model: EigDistModel, x):
+    """The leading small-argument term alpha * x^(n_min*n_max), at a number
+    or an array of points that are not checked."""
+    return model.alpha * _ipow(x, model.n_min * model.n_max)
 
 
 def cdf(model: EigDistModel, x):
-    """C.d.f. of the maximum eigenvalue, with the small- and
-    large-argument guards applied; the one evaluator of the distribution.
+    """C.d.f. of the maximum eigenvalue; the one evaluator of the
+    distribution, which decides each point's regime once:
 
-    Below the model's crossover the leading-order polynomial is returned
-    (the determinant form is either insignificant there or already lost to
-    cancellation). Above it, the determinant form is floored at the
-    crossover level so the result is continuous and nondecreasing through
-    the switch; the floor is at most _SCAN_TOP_CDF, which bounds the
-    absolute deviation from the true distribution up to the saturation
-    point. Beyond that point the value is exactly 1, where the form first
-    reached 1 - theta(mn): the deviation there is at most theta(mn), which
-    is 1e-4 at mn = 8, 3.2e-4 at mn = 9, 1e-3 at mn = 10 and 2e-3 from
-    mn = 11 (about 1.8e-3 is reached on 3x4 at rho 0/0.9). Everywhere the
-    absolute error is at most max(_SCAN_TOP_CDF, theta(mn)) plus the
-    determinant form's own rounding error, which the tied-eigenvalue
-    guard's noise floor estimates.
+    * below the model's crossover, the leading term alpha * x^mn (the
+      determinant form is insignificant there or lost to cancellation);
+    * from the crossover up to the saturation point, the determinant form,
+      clipped to [floor, 1] and reported as exactly 1 within _ONE_SNAP of
+      1. The floor is the leading term at the crossover, so the result is
+      continuous and nondecreasing through the switch; it is at most
+      _SCAN_TOP_CDF, which bounds the absolute deviation from the true
+      distribution in these two regimes. An excursion of the form out of
+      [0, 1] beyond the usability envelope checked when the model was
+      built (wider for tied-eigenvalue guard noise) raises
+      ``NumericalError``;
+    * from the saturation point on, exactly 1. The form first reached
+      1 - theta(mn) there, so the deviation is at most theta(mn): 1e-4 at
+      mn = 8, 3.2e-4 at mn = 9, 1e-3 at mn = 10 and 2e-3 from mn = 11
+      (about 1.8e-3 is reached on 3x4 at rho 0/0.9).
+
+    Everywhere the absolute error is at most max(_SCAN_TOP_CDF, theta(mn))
+    plus the determinant form's own rounding error, which the
+    tied-eigenvalue guard's noise floor estimates.
 
     Determinant-regime points are taken ``_EVAL_BLOCK`` at a time: per
     evaluation set, one (m, m, points) stack filled in place and one
@@ -588,16 +577,22 @@ def cdf(model: EigDistModel, x):
     xs = checked_points(x, "evaluation point")
     flat = xs.ravel()
     out = np.ones_like(flat)
-    mn = model.n_min * model.n_max
     lead = flat < model.crossover
     if lead.any():
-        out[lead] = np.minimum(1.0, model.alpha * _ipow(flat[lead], mn))
+        out[lead] = _leading(model, flat[lead])
     det = np.flatnonzero(~lead & (flat < model.saturation))
-    floor = min(1.0, model.alpha * _ipow(model.crossover, mn))
+    floor = _leading(model, model.crossover)
     for start in range(0, det.size, _EVAL_BLOCK):
         block = det[start : start + _EVAL_BLOCK]
-        values = _determinant_cdf(model, flat[block])
-        out[block] = np.maximum(values, floor, out=values)
+        raw = _cdf_raw(model, flat[block])
+        excess = np.maximum(raw - 1.0, -raw)
+        bad = np.flatnonzero(~(excess <= _range_slack(model)))
+        if bad.size:
+            raise NumericalError(f"determinant form out of range by {excess[bad[0]]:.3e} "
+                                 f"at x={float(flat[block[bad[0]]])!r}")
+        np.clip(raw, floor, 1.0, out=raw)
+        raw[raw >= 1.0 - _ONE_SNAP] = 1.0
+        out[block] = raw
     return out.reshape(xs.shape) if xs.ndim else float(out[0])
 
 
@@ -606,7 +601,7 @@ def asymptotic_cdf(model: EigDistModel, x):
     (``inf`` past the double range)."""
     xs = checked_points(x, "evaluation point")
     with np.errstate(over="ignore"):
-        out = model.alpha * _ipow(xs, model.n_min * model.n_max)
+        out = _leading(model, xs)
     return out if xs.ndim else float(out)
 
 

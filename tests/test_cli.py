@@ -262,10 +262,16 @@ class TestCorrelationFiles:
 
 
 class TestExitCodes:
-    def test_bad_sweep(self):
-        with pytest.raises(SystemExit) as excinfo:
-            cli.main(["cdf", "--nr", "1", "--nt", "1", "--sweep", "5:1:10"])
-        assert excinfo.value.code == 2
+    def test_bad_sweep(self, capsys):
+        # start above stop, and more points than can be allocated: 10^15
+        # doubles exceed the 64-bit user address space, so the allocation
+        # fails before any memory is touched
+        for sweep, why in [("5:1:10", "start must be below stop"),
+                           ("0:1:1000000000000000", "too large to allocate")]:
+            with pytest.raises(SystemExit) as excinfo:
+                cli.main(["cdf", "--nr", "1", "--nt", "1", "--sweep", sweep])
+            assert excinfo.value.code == 2
+            assert why in capsys.readouterr().err
 
     @pytest.mark.parametrize("command", [
         ["cdf"],
@@ -307,8 +313,11 @@ class TestExitCodes:
         (["ser", *GEO_2X2, "--sweep", "0:1:3", "--with-mc", "--trials", "0"], "trials"),
         (["outage", *GEO_2X2, "--snr-db", "0", "--sweep", "0:1:3", "--with-mc",
           "--seed", "-1"], "seed"),
+        # 10^15 trials: the draw buffer exceeds the address space at once
+        (["outage", *GEO_2X2, "--snr-db", "0", "--sweep", "0:1:3", "--with-mc",
+          "--trials", "1000000000000000"], "out of memory"),
     ], ids=["nr", "nt", "rho-rx", "rho-tx", "file-size", "file-ragged", "a-alone",
-            "cdf-negative", "trials", "seed"])
+            "cdf-negative", "trials", "seed", "trials-too-large"])
     def test_refused_value_prints_one_error_line(self, tmp_path, argv, name):
         correlation.save_matrix_csv(tmp_path / "eye3.csv", np.eye(3))
         (tmp_path / "ragged.csv").write_text("1,0.5\n0.5\n")

@@ -23,10 +23,16 @@ def model_for(rho_rx, n_rx, rho_tx, n_tx):
 
 
 def determinant_cdf(model, x):
-    """The determinant form at one point, clamped to [0, 1]: 0 at x = 0."""
+    """The determinant form at one point, clamped to [0, 1]: 0 at x = 0.
+
+    Inside [crossover, saturation) this is the evaluator itself, which
+    takes the form there; elsewhere the raw form, clamped here.
+    """
     if x == 0.0:
         return 0.0
-    return float(eigdist._determinant_cdf(model, np.array([float(x)]))[0])
+    if model.crossover <= x < model.saturation:
+        return eigdist.cdf(model, float(x))
+    return float(np.clip(eigdist._cdf_raw(model, np.array([float(x)]))[0], 0.0, 1.0))
 
 
 def erlang_cdf(m, x):
@@ -116,8 +122,6 @@ class TestExactCdf:
             determinant_cdf(model, x)
         with pytest.raises(NumericalError, match="out of range"):
             eigdist.cdf(model, [0.5 * model.crossover, x])
-        # outside [crossover, saturation] the raw value is only clamped
-        assert determinant_cdf(model, 2.0 * model.saturation) == 1.0
 
 
 class TestAsymptotic:
@@ -199,6 +203,75 @@ class TestStable:
         emp = montecarlo.empirical_cdf(cfg, grid)
         ana = np.array([eigdist.exact_cdf_stable(model, float(x)) for x in grid])
         assert np.max(np.abs(emp - ana)) < 1.63 / math.sqrt(cfg.trials)
+
+
+# The grid models: 1-4 antennas a side, rho 0, .5 and .9 on each side.
+GRID_RHOS = (0.0, 0.5, 0.9)
+GRID_GEOMETRIES = list(itertools.product(GRID_RHOS, range(1, 5), GRID_RHOS, range(1, 5)))
+
+
+@pytest.fixture(scope="module")
+def grid_models():
+    return [model_for(*args) for args in GRID_GEOMETRIES]
+
+
+def regime_points(model):
+    """Points below the crossover, in [crossover, saturation) and from
+    saturation on: both bounds and their neighbouring doubles, and points
+    well inside each regime."""
+    c, s = model.crossover, model.saturation
+    below = [0.0, 1e-3 * c, 0.5 * c, np.nextafter(c, 0.0)]
+    inside = [c, np.nextafter(c, np.inf), math.sqrt(c * s), np.nextafter(s, 0.0)]
+    above = [s, np.nextafter(s, np.inf), 2.0 * s]
+    return [np.array(points, dtype=float) for points in (below, inside, above)]
+
+
+class TestRegimes:
+    """``cdf`` decides each point's regime once, bit for bit."""
+
+    def test_leading_term_below_crossover(self, grid_models):
+        for args, model in zip(GRID_GEOMETRIES, grid_models):
+            below = regime_points(model)[0]
+            assert np.array_equal(eigdist.cdf(model, below),
+                                  eigdist.asymptotic_cdf(model, below)), args
+
+    def test_clipped_snapped_floored_form_inside(self, grid_models):
+        for args, model in zip(GRID_GEOMETRIES, grid_models):
+            inside = regime_points(model)[1]
+            want = np.clip(eigdist._cdf_raw(model, inside), 0.0, 1.0)
+            want[want >= 1.0 - eigdist._ONE_SNAP] = 1.0
+            want = np.maximum(want, eigdist.asymptotic_cdf(model, model.crossover))
+            assert np.array_equal(eigdist.cdf(model, inside), want), args
+
+    def test_one_from_saturation(self, grid_models):
+        for args, model in zip(GRID_GEOMETRIES, grid_models):
+            above = regime_points(model)[2]
+            assert eigdist.cdf(model, above).tolist() == [1.0] * above.size, args
+
+    def test_sweep_equals_scalar_calls(self, grid_models):
+        for args, model in zip(GRID_GEOMETRIES, grid_models):
+            xs = np.concatenate(regime_points(model))
+            scalars = [eigdist.cdf(model, float(x)) for x in xs]
+            assert eigdist.cdf(model, xs).tolist() == scalars, args
+
+    def test_form_sees_only_its_regime(self, grid_models, monkeypatch):
+        seen = []
+        raw = eigdist._cdf_raw
+
+        def recorder(model, xs):
+            seen.append((model, xs.copy()))
+            return raw(model, xs)
+
+        monkeypatch.setattr(eigdist, "_cdf_raw", recorder)
+        for model in grid_models:
+            xs = np.concatenate(regime_points(model))
+            eigdist.cdf(model, xs)
+            for x in xs:
+                eigdist.cdf(model, float(x))
+        # per model, the sweep's one block and the four inside points alone
+        assert len(seen) == 5 * len(grid_models)
+        for model, xs in seen:
+            assert np.all((model.crossover <= xs) & (xs < model.saturation))
 
 
 class TestFitRecovery:
